@@ -27,7 +27,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import NonPositiveAlpha, NonPositiveRange, ZeroRange
-from .measurement import angular_difference
+from .measurement import DEFAULT_SOUND_SPEED, angular_difference
+from .scenario_io import Tolerances
 from .trajectory import (DEFAULT_EPS_RANGE, PolynomialTrajectory, SampledTrajectory,
                          relative_state)
 
@@ -56,7 +57,7 @@ class DopplerAmbiguitySpec:
     l_prime: float
     b_prime: float
     rotation: ScalarProfile
-    c: float = 1500.0
+    c: float = DEFAULT_SOUND_SPEED
 
     def __post_init__(self):
         if not self.l_prime > 0:
@@ -200,10 +201,6 @@ def _grid(grid: np.ndarray) -> np.ndarray:
     return times
 
 
-def _observer_positions(observer: PolynomialTrajectory, times: np.ndarray) -> np.ndarray:
-    return np.array([observer.eval(t, 0) for t in times])
-
-
 def _relative_series(traj: Trajectory, observer: PolynomialTrajectory,
                      times: np.ndarray, eps_range: float):
     """Relative positions, ranges, and range rates of a trajectory on the grid.
@@ -212,19 +209,12 @@ def _relative_series(traj: Trajectory, observer: PolynomialTrajectory,
     differences of the range history (second-order one-sided at the ends).
     """
     if isinstance(traj, PolynomialTrajectory):
-        rel = np.empty((len(times), 2))
-        ranges = np.empty(len(times))
-        rates = np.empty(len(times))
-        for k, t in enumerate(times):
-            state = relative_state(traj, observer, t, eps_range)
-            rel[k] = state.position
-            ranges[k] = state.range
-            rates[k] = state.range_rate
-        return rel, ranges, rates
+        state = relative_state(traj, observer, times, eps_range)
+        return state.position, state.range, state.range_rate
     if len(traj.times) != len(times) or not np.allclose(
             traj.times, times, rtol=0.0, atol=1e-9):
         raise ValueError("sampled trajectory times must coincide with the grid")
-    rel = traj.positions - _observer_positions(observer, times)
+    rel = traj.positions - observer.eval(times)
     ranges = np.linalg.norm(rel, axis=1)
     if np.any(ranges < eps_range):
         k = int(np.argmin(ranges))
@@ -277,7 +267,7 @@ def generate_doppler_ambiguous(
             f"spec infeasible on this window", time=float(times[k]))
     psi = _profile_values(spec.rotation, times, "rotation")
     u_i = _rotate(rel_j / s_j[:, None], psi)
-    positions = _observer_positions(observer, times) + s_i[:, None] * u_i
+    positions = observer.eval(times) + s_i[:, None] * u_i
     return SampledTrajectory(times=times, positions=positions)
 
 
@@ -303,7 +293,7 @@ def generate_bearing_ambiguous(
         raise NonPositiveAlpha(
             f"alpha({times[k]}) = {values[k]:.6g} must be > 0", time=float(times[k]))
     rel_j, _, _ = _relative_series(base, observer, times, eps_range)
-    positions = _observer_positions(observer, times) + values[:, None] * rel_j
+    positions = observer.eval(times) + values[:, None] * rel_j
     return SampledTrajectory(times=times, positions=positions)
 
 
@@ -323,7 +313,7 @@ def verify_ambiguity(
     grid: np.ndarray,
     regime: str = COMBINED,
     tol_f: float | None = None,
-    tol_theta: float = 1e-8,
+    tol_theta: float = Tolerances.tol_theta,
     eps_range: float = DEFAULT_EPS_RANGE,
 ) -> AmbiguityCertificate:
     """Compare the measurement histories of a trajectory pair.

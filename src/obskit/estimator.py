@@ -18,10 +18,9 @@ import numpy as np
 
 from .errors import DegenerateSystem
 from .measurement import (MeasurementHistory, angular_difference, bearing,
-                          measure_scenario, pseudo_row)
-from .scenario_io import Scenario
-from .trajectory import (PolynomialTrajectory, relative_state, transition_matrix,
-                         trajectory_from_state)
+                          design_matrix, measure_scenario)
+from .scenario_io import Scenario, Tolerances
+from .trajectory import PolynomialTrajectory, relative_state, trajectory_from_state
 
 UNIQUE = "unique"
 DEGENERATE = "degenerate"
@@ -70,7 +69,7 @@ def estimate_initial_state(
     observer: PolynomialTrajectory,
     history: MeasurementHistory,
     orders: list[int],
-    rank_tol: float = 1e-8,
+    rank_tol: float = Tolerances.rank_tol,
 ) -> EstimateResult:
     """Solve the stacked pseudo-linear system for the absolute initial states.
 
@@ -89,7 +88,7 @@ def estimate_initial_state(
     t_i = float(times[0])
     n_rows = len(times)
 
-    obs_xy = np.array([observer.eval(t, 0) for t in times])
+    obs_xy = observer.eval(times)
 
     blocks: list[tuple[np.ndarray, np.ndarray]] = []
     for i, p in enumerate(orders):
@@ -97,12 +96,9 @@ def estimate_initial_state(
         if n_rows < n_unknowns:
             raise DegenerateSystem(
                 f"target {i}: {n_rows} measurement rows for {n_unknowns} unknowns")
-        A = np.zeros((n_rows, n_unknowns))
-        b = np.zeros(n_rows)
-        for k, t in enumerate(times):
-            theta = history.bearings[i, k]
-            A[k] = pseudo_row(theta, p) @ transition_matrix(p, t, t_i).matrix
-            b[k] = np.cos(theta) * obs_xy[k, 0] - np.sin(theta) * obs_xy[k, 1]
+        thetas = history.bearings[i]
+        A = design_matrix(thetas, times, t_i, p)
+        b = np.cos(thetas) * obs_xy[:, 0] - np.sin(thetas) * obs_xy[:, 1]
         blocks.append((A, b))
 
     all_svals = np.sort(np.concatenate(
@@ -171,7 +167,6 @@ def cross_validate(scenario: Scenario, result: EstimateResult,
     worst = 0.0
     for i, part in enumerate(split_state(np.asarray(state, dtype=float), result.orders)):
         traj = trajectory_from_state(part, ref_time=scenario.t_start)
-        for k, t in enumerate(truth.times):
-            rel = relative_state(traj, scenario.observer, t, eps)
-            worst = max(worst, float(angular_difference(bearing(rel), truth.bearings[i, k])))
+        replayed = bearing(relative_state(traj, scenario.observer, truth.times, eps))
+        worst = max(worst, float(np.max(angular_difference(replayed, truth.bearings[i]))))
     return worst

@@ -1,4 +1,4 @@
-"""Noise-free bearing/Doppler measurement generation and pseudo-linear rows.
+"""Noise-free bearing/Doppler measurements and the pseudo-linear design matrix.
 
 Bearing convention: angle from the +y axis toward +x (tan theta = x/y),
 resolved over the full circle with atan2(x, y) and wrapped to (-pi, pi].
@@ -8,6 +8,7 @@ Doppler uses the one-way narrowband model f0 * (1 - range_rate / c).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -79,25 +80,28 @@ def wrap_angle(theta: float | np.ndarray) -> float | np.ndarray:
     return wrapped
 
 
-def bearing(rel: RelativeState) -> float:
+def bearing(rel: RelativeState) -> float | np.ndarray:
     """Full-quadrant bearing of a relative position, in (-pi, pi].
+
+    A float for a single instant, an array for a grid of instants.
 
     Raises:
         ZeroRange: If the relative range is not positive.
     """
-    if not rel.range > 0.0:
+    if not np.all(rel.range > 0.0):
         raise ZeroRange("bearing undefined at zero range")
-    return wrap_angle(np.arctan2(rel.position[0], rel.position[1]))
+    return wrap_angle(np.arctan2(rel.position[..., 0], rel.position[..., 1]))
 
 
-def doppler(tonal: Tonal, rel: RelativeState, c: float = DEFAULT_SOUND_SPEED) -> float:
-    """Received frequency f0 * (1 - range_rate / c).
+def doppler(tonal: Tonal, rel: RelativeState,
+            c: float = DEFAULT_SOUND_SPEED) -> float | np.ndarray:
+    """Received frequency f0 * (1 - range_rate / c), per instant of ``rel``.
 
     Closing geometry (range_rate < 0) shifts the tonal up.
     """
     if not c > 0:
         raise ValueError(f"propagation speed must be > 0 m/s, got {c}")
-    if not rel.range > 0.0:
+    if not np.all(rel.range > 0.0):
         raise ZeroRange("doppler undefined at zero range")
     return tonal.f0 * (1.0 - rel.range_rate / c)
 
@@ -116,46 +120,50 @@ def pseudo_row(theta: float, p: int) -> np.ndarray:
     return row
 
 
-def assemble_C(thetas: list[float], orders: list[int]) -> np.ndarray:
-    """M x 2s measurement matrix with per-target pseudo rows on the block diagonal."""
-    if len(thetas) != len(orders):
-        raise ValueError(
-            f"thetas and orders must have equal length, got {len(thetas)} and {len(orders)}"
-        )
-    widths = [2 * (p + 1) for p in orders]
-    C = np.zeros((len(thetas), sum(widths)))
-    at = 0
-    for i, (theta, p) in enumerate(zip(thetas, orders)):
-        C[i, at:at + widths[i]] = pseudo_row(theta, p)
-        at += widths[i]
-    return C
+def design_matrix(thetas: np.ndarray, times: np.ndarray, t0: float, p: int) -> np.ndarray:
+    """Pseudo-linear design matrix of one order-p target over a time grid.
+
+    Row k is pseudo_row(theta_k, p) @ transition_matrix(p, t_k, t0), i.e.
+    [1, dt, dt^2/2!, ..., dt^p/p!] (x) [cos theta_k, -sin theta_k] with
+    dt = t_k - t0, matching the state order [x, y, xdot, ydot, ...]; shape
+    (N, 2(p + 1)). It maps the target's initial raw-derivative state to the
+    pseudo-linear measurements cos(theta) x(t_k) - sin(theta) y(t_k).
+    """
+    if p < 0:
+        raise ValueError(f"polynomial order must be >= 0, got {p}")
+    thetas = np.asarray(thetas, dtype=float)
+    dt = np.asarray(times, dtype=float) - t0
+    powers = np.empty((len(dt), p + 1))
+    power = np.ones_like(dt)
+    for j in range(p + 1):
+        powers[:, j] = power / factorial(j)
+        power = power * dt
+    row = np.column_stack([np.cos(thetas), -np.sin(thetas)])
+    return (powers[:, :, None] * row[:, None, :]).reshape(len(dt), 2 * (p + 1))
 
 
 def measure_scenario(scenario: "Scenario") -> MeasurementHistory:
     """Evaluate bearings (and Doppler where a tonal exists) over the scenario grid.
 
     Raises:
-        ZeroRange: With the offending target index and time if any target
-            meets the observer.
+        ZeroRange: With the offending target index and first offending time
+            if any target meets the observer.
     """
     times = scenario.grid()
     eps = scenario.tolerances.eps_range
     bearings = np.zeros((len(scenario.targets), len(times)))
     dopplers: list[np.ndarray | None] = []
     for i, target in enumerate(scenario.targets):
-        freq = np.zeros(len(times)) if target.tonal is not None else None
-        for k, t in enumerate(times):
-            try:
-                rel = relative_state(target.trajectory, scenario.observer, t, eps)
-            except ZeroRange as exc:
-                raise ZeroRange(
-                    f"target {i} coincides with observer at t={t}",
-                    target_index=i, time=float(t),
-                ) from exc
-            bearings[i, k] = bearing(rel)
-            if freq is not None:
-                freq[k] = doppler(target.tonal, rel, scenario.c)
-        dopplers.append(freq)
+        try:
+            rel = relative_state(target.trajectory, scenario.observer, times, eps)
+        except ZeroRange as exc:
+            raise ZeroRange(
+                f"target {i} coincides with observer at t={exc.time}",
+                target_index=i, time=exc.time,
+            ) from exc
+        bearings[i] = bearing(rel)
+        dopplers.append(
+            None if target.tonal is None else doppler(target.tonal, rel, scenario.c))
     return MeasurementHistory(times=times, bearings=bearings, dopplers=tuple(dopplers))
 
 

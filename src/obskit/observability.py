@@ -5,7 +5,9 @@ The Gramian integrates Phi^T C^T C Phi over the observation window with
 composite Simpson quadrature; the system is declared observable when the
 ratio of its extreme singular values exceeds ``rank_tol``. Because C places
 each target's pseudo-linear bearing row in its own block, the Gramian is
-block-diagonal and the report also exposes per-target block conditioning.
+block-diagonal: block i is A_i^T W A_i, with A_i the target's design matrix
+on the quadrature nodes and W the diagonal of Simpson weights. The report
+also exposes per-target block conditioning.
 The geometric criterion (all bearings distinct modulo pi) is reported as a
 separate diagnostic: it does not capture single-target unobservability and
 is therefore never folded into the rank decision.
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import MeasurementHistory, assemble_C, bearing, measure_scenario
+from .measurement import MeasurementHistory, bearing, design_matrix, measure_scenario
 from .scenario_io import Scenario
-from .trajectory import assemble_block_transition, relative_state
+from .trajectory import relative_state
 
 OBSERVABLE = "observable"
 UNOBSERVABLE = "unobservable"
@@ -112,8 +114,9 @@ def gramian(scenario: Scenario, quadrature_nodes: int | None = None) -> np.ndarr
 
     Integrates Phi^T(t, t_i) C^T(t) C(t) Phi(t, t_i) over the window on a
     uniform node set (the scenario grid by default, padded by one node when
-    the count is even, since Simpson needs an even interval count). The
-    result is symmetrized as (G + G^T) / 2.
+    the count is even, since Simpson needs an even interval count). Each
+    target contributes the diagonal block A_i^T W A_i of its design matrix
+    A_i; the result is symmetrized as (G + G^T) / 2.
 
     Raises:
         ZeroRange: Propagated if any target meets the observer at a node.
@@ -134,14 +137,13 @@ def gramian(scenario: Scenario, quadrature_nodes: int | None = None) -> np.ndarr
     eps = scenario.tolerances.eps_range
 
     G = np.zeros((size, size))
-    for w, t in zip(weights, times):
-        thetas = [
-            bearing(relative_state(tr, scenario.observer, t, eps))
-            for tr in scenario.target_trajectories()
-        ]
-        A = assemble_C(thetas, list(orders)) @ assemble_block_transition(
-            list(orders), t, scenario.t_start).matrix
-        G += w * (A.T @ A)
+    at = 0
+    for traj, p in zip(scenario.target_trajectories(), orders):
+        thetas = bearing(relative_state(traj, scenario.observer, times, eps))
+        A = design_matrix(thetas, times, scenario.t_start, p)
+        n = A.shape[1]
+        G[at:at + n, at:at + n] = A.T @ (weights[:, None] * A)
+        at += n
     return 0.5 * (G + G.T)
 
 
@@ -199,14 +201,6 @@ def detect_collinearity(
                     ))
                 k += 1
     return events
-
-
-def check_M_submatrix(theta_i: float, theta_j: float) -> float:
-    """Determinant of the two-bearing pseudo-row submatrix: sin(theta_i - theta_j).
-
-    Zero exactly when the bearings coincide modulo pi.
-    """
-    return float(np.sin(theta_i - theta_j))
 
 
 def check_observable(scenario: Scenario, rank_tol: float | None = None) -> ObservabilityReport:

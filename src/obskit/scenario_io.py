@@ -30,10 +30,9 @@ from typing import Any, TextIO
 import numpy as np
 
 from .errors import ParseError, ValidationError, ZeroRange
-from .measurement import MeasurementHistory, Tonal
-from .trajectory import PolynomialTrajectory, SampledTrajectory, relative_state
-
-DEFAULT_C = 1500.0
+from .measurement import DEFAULT_SOUND_SPEED, MeasurementHistory, Tonal
+from .trajectory import (DEFAULT_EPS_RANGE, PolynomialTrajectory, SampledTrajectory,
+                         relative_state)
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ class Tolerances:
     collinearity_tol: float = 1e-3
     tol_f: float | None = None
     tol_theta: float = 1e-8
-    eps_range: float = 1e-9
+    eps_range: float = DEFAULT_EPS_RANGE
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ class Scenario:
     t_start: float
     t_end: float
     grid_points: int
-    c: float = DEFAULT_C
+    c: float = DEFAULT_SOUND_SPEED
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def grid(self) -> np.ndarray:
@@ -101,14 +100,14 @@ def validate_scenario(scenario: Scenario) -> None:
     if not scenario.targets:
         raise ValidationError("targets", "at least one target is required")
     eps = scenario.tolerances.eps_range
+    times = scenario.grid()
     for i, target in enumerate(scenario.targets):
-        for t in scenario.grid():
-            try:
-                relative_state(target.trajectory, scenario.observer, t, eps)
-            except ZeroRange:
-                raise ValidationError(
-                    f"targets[{i}]", f"coincides with the observer at t={t}"
-                ) from None
+        try:
+            relative_state(target.trajectory, scenario.observer, times, eps)
+        except ZeroRange as exc:
+            raise ValidationError(
+                f"targets[{i}]", f"coincides with the observer at t={exc.time}"
+            ) from None
 
 
 def _require(mapping: dict, key: str, path: str) -> Any:
@@ -168,7 +167,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         # Align with the observer's order; see module docstring.
         targets.append(TargetConfig(trajectory=traj.padded(observer.order), tonal=tonal))
 
-    c = float(data.get("c", DEFAULT_C))
+    c = float(data.get("c", DEFAULT_SOUND_SPEED))
     tol_raw = data.get("tolerances", {})
     if not isinstance(tol_raw, dict):
         raise ValidationError("tolerances", "must be an object")
@@ -288,7 +287,13 @@ def write_trajectory_csv(traj: SampledTrajectory, out: TextIO) -> None:
 
 
 def read_trajectory_csv(path: str | Path) -> SampledTrajectory:
-    """Read a t,x_m,y_m CSV back into a SampledTrajectory."""
+    """Read a t,x_m,y_m CSV back into a SampledTrajectory.
+
+    Raises:
+        ParseError: Unreadable file, bad header or value, fewer than three
+            rows (range rates of sampled trajectories need second-order
+            differences), or times that are not strictly increasing.
+    """
     try:
         lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     except OSError as exc:
@@ -305,4 +310,9 @@ def read_trajectory_csv(path: str | Path) -> SampledTrajectory:
             positions.append((float(parts[1]), float(parts[2])))
         except ValueError as exc:
             raise ParseError(f"{path}:{ln}: non-numeric value") from exc
-    return SampledTrajectory(times=np.asarray(times), positions=np.asarray(positions))
+    times = np.asarray(times)
+    if len(times) < 3:
+        raise ParseError(f"{path}: need at least 3 rows, got {len(times)}")
+    if not np.all(np.diff(times) > 0):
+        raise ParseError(f"{path}: times must be strictly increasing")
+    return SampledTrajectory(times=times, positions=np.asarray(positions))

@@ -12,10 +12,10 @@ from typing import TextIO
 import numpy as np
 
 from .ambiguity import (DopplerAmbiguitySpec, check_combined_condition,
-                        generate_bearing_ambiguous, generate_doppler_ambiguous,
-                        verify_ambiguity)
+                        default_doppler_tolerance, generate_bearing_ambiguous,
+                        generate_doppler_ambiguous, verify_ambiguity)
 from .estimator import estimate_initial_state
-from .measurement import measure_scenario
+from .measurement import DEFAULT_SOUND_SPEED, measure_scenario
 from .observability import OBSERVABLE, check_observable
 from .scenario_io import Scenario, TargetConfig
 from .trajectory import (PolynomialTrajectory, propagate_ode, relative_state,
@@ -126,12 +126,12 @@ def random_doppler_spec(
     base: PolynomialTrajectory,
     observer: PolynomialTrajectory,
     grid: np.ndarray,
-    c: float = 1500.0,
+    c: float = DEFAULT_SOUND_SPEED,
 ) -> DopplerAmbiguitySpec:
     """Feasible random spec with a nontrivial line-of-sight rotation."""
     l_prime = float(rng.uniform(0.9, 1.1))
     rate = float(rng.uniform(0.02, 0.3) * rng.choice([-1.0, 1.0]))
-    ranges = np.array([relative_state(base, observer, t).range for t in grid])
+    ranges = relative_state(base, observer, grid).range
     needed = l_prime * ranges + c * (1.0 - l_prime) * (grid - grid[0])
     # keep the derived range history at least 50-300 m above zero
     b_prime = float(rng.uniform(50, 300)) - min(0.0, float(np.min(needed)))
@@ -217,14 +217,13 @@ def transition_suite(rng: np.random.Generator, states_per_order: int = 100,
         for _ in range(states_per_order):
             x = rng.normal(scale=10.0, size=n)
             t_span = rng.uniform(0.3, 3.0)
-            closed = transition_matrix(p, t_span, 0.0).matrix @ x
+            closed = transition_matrix(p, t_span, 0.0) @ x
             stepped = propagate_ode(x, 0.0, t_span, steps)
             max_rel = max(max_rel, float(
                 np.linalg.norm(closed - stepped) / np.linalg.norm(x)))
             t0, t1, t2 = np.sort(rng.uniform(0.0, 3.0, size=3))
-            defect = (transition_matrix(p, t2, t0).matrix
-                      - transition_matrix(p, t2, t1).matrix
-                      @ transition_matrix(p, t1, t0).matrix)
+            defect = (transition_matrix(p, t2, t0)
+                      - transition_matrix(p, t2, t1) @ transition_matrix(p, t1, t0))
             max_semi = max(max_semi, float(np.max(np.abs(defect))))
     return max_rel, max_semi
 
@@ -247,14 +246,13 @@ def pseudo_linear_suite(rng: np.random.Generator, scenarios: int = 20) -> float:
 def doppler_generator_suite(rng: np.random.Generator, pairs: int = 10):
     """Worst Doppler-residual margin and range-relation identity gap.
 
-    The margin is residual - (1e-9 * f_j0 + 10 * dt^2); negative everywhere
-    means every pair met the generator-soundness bound.
+    The margin is residual - default_doppler_tolerance(f_j0, grid); negative
+    everywhere means every pair met the generator-soundness bound.
     """
     worst_margin = -np.inf
     worst_residual = 0.0
     worst_identity = 0.0
     grid = np.linspace(0.0, 2.0, 201)
-    dt = float(grid[1] - grid[0])
     for _ in range(pairs):
         base = random_polynomial(rng, int(rng.integers(0, 3)),
                                  pos_scale=rng.uniform(800, 3000))
@@ -266,8 +264,8 @@ def doppler_generator_suite(rng: np.random.Generator, pairs: int = 10):
                                 (f_j0 / spec.l_prime, f_j0), spec.c, grid,
                                 regime="doppler")
         worst_residual = max(worst_residual, cert.residual_doppler)
-        worst_margin = max(worst_margin,
-                           cert.residual_doppler - (1e-9 * f_j0 + 10.0 * dt ** 2))
+        worst_margin = max(worst_margin, cert.residual_doppler
+                           - default_doppler_tolerance(f_j0, grid))
         report = check_combined_condition(generated, base, observer, spec, grid)
         worst_identity = max(worst_identity, float(np.max(report.position_residuals)))
     return worst_margin, worst_residual, worst_identity
@@ -282,8 +280,8 @@ def bearing_generator_suite(rng: np.random.Generator, pairs: int = 10) -> float:
                                  pos_scale=rng.uniform(800, 3000))
         observer = random_observer(rng, 2)
         generated = generate_bearing_ambiguous(base, observer, random_alpha(rng), grid)
-        cert = verify_ambiguity(generated, base, observer, None, 1500.0, grid,
-                                regime="bearing")
+        cert = verify_ambiguity(generated, base, observer, None, DEFAULT_SOUND_SPEED,
+                                grid, regime="bearing")
         worst = max(worst, cert.residual_bearing)
     return worst
 

@@ -1,5 +1,10 @@
 """Planar polynomial trajectories, relative kinematics, and state transition matrices.
 
+``PolynomialTrajectory.eval`` and ``relative_state`` are the grid kernel:
+each takes a scalar time or a 1-D array of times, and the scalar case is the
+0-d case of the same arithmetic, so a grid evaluation equals the per-time
+evaluations bit for bit.
+
 A trajectory is a polynomial in time about a reference instant,
 ``pos(t) = sum_k a_k (t - ref_time)^k`` with 2-vector coefficients ``a_k``.
 The matching state vector stacks raw derivatives per target,
@@ -46,19 +51,23 @@ class PolynomialTrajectory:
         """Polynomial order p (coeffs has length p + 1)."""
         return len(self.coeffs) - 1
 
-    def eval(self, t: float, derivative_order: int = 0) -> np.ndarray:
+    def eval(self, t: float | np.ndarray, derivative_order: int = 0) -> np.ndarray:
         """Evaluate the trajectory or one of its time derivatives.
 
-        Returns sum_{k>=d} a_k * k!/(k-d)! * (t - ref_time)^(k-d); the zero
-        vector when derivative_order exceeds the polynomial order.
+        Returns sum_{k>=d} a_k * k!/(k-d)! * (t - ref_time)^(k-d), shape (2,)
+        for a scalar time and (N, 2) for N times; zero when derivative_order
+        exceeds the polynomial order. Powers come from repeated
+        multiplication, which rounds identically for scalars and arrays.
         """
         if derivative_order < 0:
             raise ValueError(f"derivative_order must be >= 0, got {derivative_order}")
-        dt = float(t) - self.ref_time
-        out = np.zeros(2)
+        dt = np.asarray(t, dtype=float) - self.ref_time
+        out = np.zeros(dt.shape + (2,))
+        power = np.ones_like(dt)
         for k in range(derivative_order, len(self.coeffs)):
             scale = factorial(k) // factorial(k - derivative_order)
-            out += np.asarray(self.coeffs[k]) * (scale * dt ** (k - derivative_order))
+            out += np.multiply.outer(scale * power, self.coeffs[k])
+            power = power * dt
         return out
 
     def derivatives_at(self, t: float, order: int) -> np.ndarray:
@@ -82,16 +91,18 @@ class PolynomialTrajectory:
 
 @dataclass(frozen=True, eq=False)
 class RelativeState:
-    """Observer-to-target relative kinematics at one instant.
+    """Observer-to-target relative kinematics at one instant or over a grid.
 
+    For a scalar time, position and velocity are 2-vectors and range and
+    range_rate are floats; for N times they are (N, 2) and (N,) arrays.
     range is the Euclidean norm of position; range_rate is the projection
     velocity . position / range, so |range_rate| <= ||velocity||.
     """
 
     position: np.ndarray
     velocity: np.ndarray
-    range: float
-    range_rate: float
+    range: float | np.ndarray
+    range_rate: float | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,44 +132,42 @@ class SampledTrajectory:
         object.__setattr__(self, "positions", positions)
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionMatrix:
-    """State transition matrix for chain-integrator polynomial dynamics.
-
-    matrix maps the raw-derivative state at t_i to the state at t; it is the
-    identity at t = t_i and satisfies Phi(t2, t0) = Phi(t2, t1) @ Phi(t1, t0).
-    """
-
-    order: int
-    matrix: np.ndarray
-
-
 def relative_state(
     target: PolynomialTrajectory,
     observer: PolynomialTrajectory,
-    t: float,
+    t: float | np.ndarray,
     eps_range: float = DEFAULT_EPS_RANGE,
 ) -> RelativeState:
     """Relative position/velocity, range, and range rate of target vs observer.
 
+    ``t`` is a scalar time or a 1-D array of times (see ``RelativeState``).
+    Range and range rate are written out per component rather than through
+    ``np.linalg.norm`` or ``@``, so both forms round identically.
+
     Raises:
         ZeroRange: If the separation is below ``eps_range`` (range rate and
-            bearing are undefined there).
+            bearing are undefined there); ``time`` is the first such time.
     """
     position = target.eval(t, 0) - observer.eval(t, 0)
     velocity = target.eval(t, 1) - observer.eval(t, 1)
-    rng = float(np.linalg.norm(position))
-    if rng < eps_range:
+    x, y = position[..., 0], position[..., 1]
+    rng = np.sqrt(x * x + y * y)
+    below = rng < eps_range
+    if np.any(below):
+        first = float(np.asarray(t, dtype=float)[below][0])
+        closest = float(np.asarray(rng)[below][0])
         raise ZeroRange(
-            f"target coincides with observer at t={t} (range {rng:.3e} m)", time=t
-        )
-    rate = float(velocity @ position / rng)
+            f"target coincides with observer at t={first} (range {closest:.3e} m)",
+            time=first)
+    rate = (velocity[..., 0] * x + velocity[..., 1] * y) / rng
     return RelativeState(position=position, velocity=velocity, range=rng, range_rate=rate)
 
 
-def transition_matrix(p: int, t: float, t_i: float) -> TransitionMatrix:
+def transition_matrix(p: int, t: float, t_i: float) -> np.ndarray:
     """Transition matrix for a single order-p target.
 
+    Maps the raw-derivative state at t_i to the state at t; it is the
+    identity at t = t_i and satisfies Phi(t2, t0) = Phi(t2, t1) @ Phi(t1, t0).
     Block (k, j) for j >= k is (t - t_i)^(j-k) / (j-k)! * I_2, so the top
     block row carries the factors 1, dt, dt^2/2!, ... of the polynomial
     evaluation, and the matrix is the exponential of the shift dynamics.
@@ -170,26 +179,7 @@ def transition_matrix(p: int, t: float, t_i: float) -> TransitionMatrix:
     for k in range(p + 1):
         for j in range(k, p + 1):
             upper[k, j] = dt ** (j - k) / factorial(j - k)
-    return TransitionMatrix(order=p, matrix=np.kron(upper, np.eye(2)))
-
-
-def assemble_block_transition(orders: list[int], t: float, t_i: float) -> TransitionMatrix:
-    """Block-diagonal transition matrix for several targets.
-
-    The result is 2s x 2s with s = sum(p_i + 1); its ``order`` field holds
-    the maximum per-target order.
-    """
-    if not orders:
-        raise ValueError("orders must be non-empty")
-    blocks = [transition_matrix(p, t, t_i).matrix for p in orders]
-    size = sum(b.shape[0] for b in blocks)
-    out = np.zeros((size, size))
-    at = 0
-    for b in blocks:
-        n = b.shape[0]
-        out[at:at + n, at:at + n] = b
-        at += n
-    return TransitionMatrix(order=max(orders), matrix=out)
+    return np.kron(upper, np.eye(2))
 
 
 def chain_integrator_matrix(p: int) -> np.ndarray:

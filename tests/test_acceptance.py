@@ -15,14 +15,14 @@ from obskit import (PolynomialTrajectory, Scenario, TargetConfig, Tolerances,
                     measure_scenario, state_from_trajectory, verify_ambiguity)
 from obskit.ambiguity import AMBIGUOUS, COMBINED, DopplerAmbiguitySpec
 from obskit.cli import run_cli
-from obskit.estimator import DEGENERATE, UNIQUE
-from obskit.measurement import assemble_C
+from obskit.estimator import DEGENERATE, UNIQUE, split_state
+from obskit.measurement import pseudo_row
 from obskit.observability import OBSERVABLE, UNOBSERVABLE
 from obskit.selftest import (random_alpha, random_doppler_spec, random_observer,
                              random_polynomial, random_rank_scenario_conditioned,
                              random_scenario, stacked_rank_observable,
                              transition_suite)
-from obskit.trajectory import assemble_block_transition
+from obskit.trajectory import transition_matrix
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -132,13 +132,14 @@ def test_criterion_4_collinear_negative_case():
         assert rep.rank_decision == UNOBSERVABLE
         assert rep.sigma_ratio < 1e-10
         y = rep.null_space
-        orders = list(rep.orders)
+        parts = split_state(y, rep.orders)
         history = measure_scenario(scenario)
         worst = 0.0
         for k, t in enumerate(history.times):
-            C = assemble_C(list(history.bearings[:, k]), orders)
-            phi = assemble_block_transition(orders, t, scenario.t_start).matrix
-            worst = max(worst, float(np.linalg.norm(C @ phi @ y)))
+            residual = [
+                pseudo_row(theta, p) @ transition_matrix(p, t, scenario.t_start) @ y_i
+                for theta, p, y_i in zip(history.bearings[:, k], rep.orders, parts)]
+            worst = max(worst, float(np.linalg.norm(residual)))
         assert worst < 1e-6 * np.linalg.norm(y)
         result = estimate(scenario)
         assert result.uniqueness == DEGENERATE

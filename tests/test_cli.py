@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -5,7 +6,8 @@ import pytest
 
 from obskit.cli import run_cli
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 OBSERVABLE = SCENARIOS / "two_target_observable.json"
 COLLINEAR = SCENARIOS / "collinear_unobservable.json"
 DOPPLER_BASE = SCENARIOS / "doppler_pair_base.json"
@@ -118,6 +120,18 @@ class TestAmbiguity:
                         "--base-target", "1"]) == 1
         assert "tonal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [
+        ["0.0,500.0,500.0", "1.0,510.0,500.0", "1.0,520.0,500.0"],
+        ["0.0,500.0,500.0", "2.0,510.0,500.0", "1.0,520.0,500.0"],
+        ["0.0,500.0,500.0", "1.0,510.0,500.0"],
+    ], ids=["duplicate_times", "decreasing_times", "two_rows"])
+    def test_verify_rejects_unusable_trajectory_csv(self, tmp_path, capsys, rows):
+        csv = tmp_path / "candidate.csv"
+        csv.write_text("\n".join(["t,x_m,y_m", *rows]) + "\n")
+        assert run_cli(["ambiguity", "verify", str(DOPPLER_BASE), str(csv),
+                        "--regime", "bearing"]) == 1
+        assert "error" in capsys.readouterr().err
+
 
 class TestMisc:
     def test_usage_error_exits_one(self, capsys):
@@ -142,3 +156,12 @@ class TestDeterminism:
         assert run_cli(["observability", str(scenario), "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         capsys.readouterr()
+
+
+def test_benchmark_traced_names_resolve(monkeypatch):
+    # The benchmark's traced runs patch these module attributes by name.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spans = importlib.import_module("spans")
+    for sites in spans.TRACED.values():
+        for module_name, attr in sites:
+            assert callable(getattr(importlib.import_module(module_name), attr))

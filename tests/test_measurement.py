@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from obskit.errors import ZeroRange
 from obskit.measurement import (MeasurementHistory, Tonal, angular_difference,
-                                assemble_C, bearing, doppler, measure_scenario,
+                                bearing, design_matrix, doppler, measure_scenario,
                                 pseudo_row, wrap_angle)
 from obskit.scenario_io import Scenario, TargetConfig, write_measurements_csv
 from obskit.selftest import random_scenario
-from obskit.trajectory import PolynomialTrajectory, RelativeState, relative_state
+from obskit.trajectory import (PolynomialTrajectory, RelativeState, relative_state,
+                               transition_matrix)
 
 
 def rel(x, y, vx=0.0, vy=0.0):
@@ -94,34 +95,17 @@ class TestPseudoRow:
             assert abs(pseudo_row(theta, 0) @ pos) < 1e-10 * np.linalg.norm(pos)
 
 
-class TestAssembleC:
-    def test_single_target(self):
-        C = assemble_C([0.3], [2])
-        assert C.shape == (1, 6)
-        assert np.array_equal(C[0], pseudo_row(0.3, 2))
-
-    def test_two_static_targets_block_structure(self):
-        C = assemble_C([0.1, -0.7], [0, 0])
-        assert C.shape == (2, 4)
-        assert np.count_nonzero(C[0, 2:]) == 0
-        assert np.count_nonzero(C[1, :2]) == 0
-
-    def test_mixed_orders_nonzeros_only_in_own_block(self):
-        orders = [1, 0, 2]
-        C = assemble_C([0.2, 0.4, 0.6], orders)
-        assert C.shape == (3, 12)
-        bounds = [0, 4, 6, 12]
-        for i in range(3):
-            for j in range(3):
-                block = C[i, bounds[j]:bounds[j + 1]]
-                if i == j:
-                    assert np.count_nonzero(block) > 0
-                else:
-                    assert np.count_nonzero(block) == 0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_C([0.0], [0, 0])
+class TestDesignMatrix:
+    @pytest.mark.parametrize("p", range(6))
+    def test_rows_match_pseudo_row_times_transition(self, p):
+        rng = np.random.default_rng(40 + p)
+        times = np.sort(rng.uniform(-5.0, 60.0, size=101))
+        thetas = rng.uniform(-np.pi, np.pi, size=101)
+        A = design_matrix(thetas, times, 2.5, p)
+        expected = np.array([pseudo_row(theta, p) @ transition_matrix(p, t, 2.5)
+                             for theta, t in zip(thetas, times)])
+        assert A.shape == (101, 2 * (p + 1))
+        assert np.allclose(A, expected, rtol=1e-14, atol=0)
 
 
 def static_scenario():

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from obskit.measurement import MeasurementHistory, assemble_C, measure_scenario
+from obskit.estimator import split_state
+from obskit.measurement import MeasurementHistory, measure_scenario, pseudo_row
 from obskit.observability import (OBSERVABLE, UNOBSERVABLE, bearing_separation_mod_pi,
-                                  check_M_submatrix, check_observable,
-                                  detect_collinearity, gramian, report_text,
-                                  separation_mod_pi)
+                                  check_observable, detect_collinearity, gramian,
+                                  report_text, separation_mod_pi)
 from obskit.scenario_io import Scenario, TargetConfig
 from obskit.selftest import (collinear_scenario, random_rank_scenario_conditioned,
                              random_scenario, stacked_rank_observable)
-from obskit.trajectory import PolynomialTrajectory, assemble_block_transition
+from obskit.trajectory import PolynomialTrajectory, transition_matrix
 
 
 def single_static_scenario(x=300.0, y=400.0, window=10.0):
@@ -102,13 +102,14 @@ class TestCheckObservable:
         assert report.rank_decision == UNOBSERVABLE
         assert report.sigma_ratio < 1e-10
         y = report.null_space
-        orders = list(report.orders)
+        parts = split_state(y, report.orders)
+        history = measure_scenario(scenario)
         worst = 0.0
-        for t, thetas in zip(measure_scenario(scenario).times,
-                             measure_scenario(scenario).bearings.T):
-            C = assemble_C(list(thetas), orders)
-            phi = assemble_block_transition(orders, t, scenario.t_start).matrix
-            worst = max(worst, float(np.linalg.norm(C @ phi @ y)))
+        for t, thetas in zip(history.times, history.bearings.T):
+            residual = [
+                pseudo_row(theta, p) @ transition_matrix(p, t, scenario.t_start) @ y_i
+                for theta, p, y_i in zip(thetas, report.orders, parts)]
+            worst = max(worst, float(np.linalg.norm(residual)))
         assert worst < 1e-6 * np.linalg.norm(y)
 
     def test_single_cv_target_cv_observer_unobservable(self):
@@ -210,17 +211,6 @@ class TestDetectCollinearity:
         event = report.collinearity_events[0]
         assert event.t_start == scenario.t_start
         assert event.t_end == scenario.t_end
-
-
-class TestMSubmatrix:
-    def test_equal_bearings_singular(self):
-        assert check_M_submatrix(0.7, 0.7) == pytest.approx(0.0)
-
-    def test_opposite_bearings_singular(self):
-        assert check_M_submatrix(0.7, 0.7 + np.pi) == pytest.approx(0.0, abs=1e-12)
-
-    def test_orthogonal_bearings_unit_determinant(self):
-        assert abs(check_M_submatrix(0.0, np.pi / 2)) == pytest.approx(1.0)
 
 
 class TestBruteForceOracle:

@@ -4,8 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from obskit.errors import ZeroRange
-from obskit.trajectory import (PolynomialTrajectory, SampledTrajectory,
-                               assemble_block_transition, propagate_ode,
+from obskit.trajectory import (PolynomialTrajectory, SampledTrajectory, propagate_ode,
                                relative_state, state_from_trajectory,
                                trajectory_from_state, transition_matrix)
 
@@ -104,19 +103,42 @@ class TestRelativeState:
                 continue
             assert abs(rel.range_rate) <= np.linalg.norm(rel.velocity) + 1e-12
 
+    @pytest.mark.parametrize("order", range(6))
+    def test_grid_equals_per_time_calls(self, order):
+        rng = np.random.default_rng(30 + order)
+        target = PolynomialTrajectory(
+            1.5, tuple(tuple(rng.normal(scale=50, size=2)) for _ in range(order + 1)))
+        observer = PolynomialTrajectory(
+            1.5, tuple(tuple(rng.normal(scale=5, size=2)) for _ in range(order + 1)))
+        times = np.sort(rng.uniform(-10.0, 40.0, size=257))
+        grid = relative_state(target, observer, times)
+        for field in ("position", "velocity", "range", "range_rate"):
+            pointwise = np.array([getattr(relative_state(target, observer, t), field)
+                                  for t in times])
+            assert np.array_equal(getattr(grid, field), pointwise), field
+
+    def test_grid_zero_range_reports_first_offending_time(self):
+        # the target sits on the observer's path at t = 4 and t = 6
+        observer = PolynomialTrajectory(0.0, ((0.0, 0.0), (10.0, 0.0)))
+        target = PolynomialTrajectory(0.0, ((24.0, 0.0), (0.0, 0.0), (1.0, 0.0)))
+        times = np.linspace(0.0, 10.0, 11)
+        with pytest.raises(ZeroRange) as excinfo:
+            relative_state(target, observer, times)
+        assert excinfo.value.time == 4.0
+
 
 class TestTransitionMatrix:
     def test_order_zero_is_identity(self):
-        assert np.array_equal(transition_matrix(0, 7.3, 1.1).matrix, np.eye(2))
+        assert np.array_equal(transition_matrix(0, 7.3, 1.1), np.eye(2))
 
     @pytest.mark.parametrize("p", range(6))
     def test_zero_elapsed_time_is_exact_identity(self, p):
-        phi = transition_matrix(p, 2.0, 2.0).matrix
+        phi = transition_matrix(p, 2.0, 2.0)
         assert np.array_equal(phi, np.eye(2 * (p + 1)))
 
     def test_top_block_row_carries_polynomial_factors(self):
         # dt = 2, p = 2: factors 1, 2, 2^2/2! = 2
-        phi = transition_matrix(2, 2.0, 0.0).matrix
+        phi = transition_matrix(2, 2.0, 0.0)
         assert np.allclose(phi[0], [1.0, 0.0, 2.0, 0.0, 2.0, 0.0])
         assert np.allclose(phi[1], [0.0, 1.0, 0.0, 2.0, 0.0, 2.0])
 
@@ -128,7 +150,7 @@ class TestTransitionMatrix:
             traj = PolynomialTrajectory(1.0, coeffs)
             t = rng.uniform(1.0, 6.0)
             state = state_from_trajectory(traj)
-            propagated = transition_matrix(p, t, 1.0).matrix @ state
+            propagated = transition_matrix(p, t, 1.0) @ state
             assert np.allclose(propagated[:2], traj.eval(t), atol=1e-9)
 
     def test_semigroup_property(self):
@@ -137,35 +159,11 @@ class TestTransitionMatrix:
         for _ in range(50):
             p = int(rng.integers(0, 6))
             t0, t1, t2 = np.sort(rng.uniform(0.0, 5.0, size=3))
-            lhs = transition_matrix(p, t2, t0).matrix
-            rhs = (transition_matrix(p, t2, t1).matrix
-                   @ transition_matrix(p, t1, t0).matrix)
+            lhs = transition_matrix(p, t2, t0)
+            rhs = (transition_matrix(p, t2, t1)
+                   @ transition_matrix(p, t1, t0))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         assert worst < 1e-12
-
-
-class TestAssembleBlockTransition:
-    def test_single_static_target(self):
-        assert np.array_equal(assemble_block_transition([0], 4.0, 4.0).matrix, np.eye(2))
-
-    def test_two_equal_orders_duplicate_blocks(self):
-        out = assemble_block_transition([1, 1], 3.0, 1.0).matrix
-        block = transition_matrix(1, 3.0, 1.0).matrix
-        assert out.shape == (8, 8)
-        assert np.array_equal(out[:4, :4], block)
-        assert np.array_equal(out[4:, 4:], block)
-        assert np.count_nonzero(out[:4, 4:]) == 0
-        assert np.count_nonzero(out[4:, :4]) == 0
-
-    def test_mixed_orders_match_per_target_blocks(self):
-        out = assemble_block_transition([1, 2], 2.0, 1.0).matrix
-        assert out.shape == (10, 10)
-        assert np.array_equal(out[:4, :4], transition_matrix(1, 2.0, 1.0).matrix)
-        assert np.array_equal(out[4:, 4:], transition_matrix(2, 2.0, 1.0).matrix)
-
-    def test_empty_orders_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_block_transition([], 1.0, 0.0)
 
 
 class TestPropagateOde:
@@ -182,7 +180,7 @@ class TestPropagateOde:
     def test_matches_transition_matrix_for_cubic(self):
         rng = np.random.default_rng(9)
         x = rng.normal(scale=10, size=8)
-        closed = transition_matrix(3, 5.0, 0.0).matrix @ x
+        closed = transition_matrix(3, 5.0, 0.0) @ x
         stepped = propagate_ode(x, 0.0, 5.0, 500)
         assert np.linalg.norm(closed - stepped) / np.linalg.norm(x) < 1e-8
 
@@ -192,7 +190,7 @@ class TestPropagateOde:
             for _ in range(5):
                 x = rng.normal(scale=10, size=2 * (p + 1))
                 t_span = rng.uniform(0.3, 3.0)
-                closed = transition_matrix(p, t_span, 0.0).matrix @ x
+                closed = transition_matrix(p, t_span, 0.0) @ x
                 stepped = propagate_ode(x, 0.0, t_span, 400)
                 assert np.linalg.norm(closed - stepped) / np.linalg.norm(x) < 1e-8
 
