@@ -130,10 +130,10 @@ class CombinedConditionReport:
             "max_eigen_residual": self.max_eigen_residual,
             "max_alpha_deviation": self.max_alpha_deviation,
             "tol": self.tol,
-            "times": list(self.times),
-            "alphas": list(self.alphas),
-            "eigen_residuals": list(self.eigen_residuals),
-            "position_residuals": list(self.position_residuals),
+            "times": self.times.tolist(),
+            "alphas": self.alphas.tolist(),
+            "eigen_residuals": self.eigen_residuals.tolist(),
+            "position_residuals": self.position_residuals.tolist(),
         }
 
 
@@ -176,8 +176,8 @@ def _traj_dict(traj: Trajectory) -> dict:
     if isinstance(traj, PolynomialTrajectory):
         return {"type": "polynomial", "ref_time": traj.ref_time,
                 "coeffs": [list(c) for c in traj.coeffs]}
-    return {"type": "sampled", "times": list(traj.times),
-            "positions": [list(p) for p in traj.positions]}
+    return {"type": "sampled", "times": traj.times.tolist(),
+            "positions": traj.positions.tolist()}
 
 
 def _profile_values(profile: ScalarProfile, times: np.ndarray, name: str) -> np.ndarray:

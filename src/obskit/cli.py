@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 validation/input error, 2 analysis error
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -99,6 +100,9 @@ def _cmd_ambiguity_generate(args: argparse.Namespace) -> int:
             raise ValidationError(
                 f"targets[{args.base_target}].tonal_hz",
                 "doppler-regime generation needs the base target's tonal")
+        if not (math.isfinite(args.l_prime) and args.l_prime > 0):
+            raise ValidationError(
+                "--l-prime", f"must be a finite number > 0, got {args.l_prime}")
         spec = DopplerAmbiguitySpec(
             l_prime=args.l_prime, b_prime=args.b_prime,
             rotation=lambda t: args.rotation_rate * (t - t0), c=scenario.c)

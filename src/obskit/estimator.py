@@ -56,12 +56,12 @@ class EstimateResult:
     def to_dict(self) -> dict:
         return {
             "uniqueness": self.uniqueness,
-            "x_initial_hat": list(self.x_initial_hat),
+            "x_initial_hat": self.x_initial_hat.tolist(),
             "residual_norm": self.residual_norm,
             "condition_number": self.condition_number,
             "orders": list(self.orders),
-            "singular_values": list(self.singular_values),
-            "null_space": None if self.null_space is None else list(self.null_space),
+            "singular_values": self.singular_values.tolist(),
+            "null_space": None if self.null_space is None else self.null_space.tolist(),
         }
 
 

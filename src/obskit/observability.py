@@ -76,8 +76,8 @@ class ObservabilityReport:
             "rank_decision": self.rank_decision,
             "sigma_ratio": self.sigma_ratio,
             "rank_tol": self.rank_tol,
-            "singular_values": list(self.singular_values),
-            "null_space": None if self.null_space is None else list(self.null_space),
+            "singular_values": self.singular_values.tolist(),
+            "null_space": None if self.null_space is None else self.null_space.tolist(),
             "per_target_sigma_ratios": list(self.per_target_sigma_ratios),
             "orders": list(self.orders),
             "min_pairwise_separation": self.min_pairwise_separation,
@@ -88,7 +88,7 @@ class ObservabilityReport:
                  "separation_min": e.separation_min}
                 for e in self.collinearity_events
             ],
-            "gramian": [list(row) for row in self.gramian],
+            "gramian": self.gramian.tolist(),
         }
 
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, TextIO
 
@@ -116,15 +118,27 @@ def _require(mapping: dict, key: str, path: str) -> Any:
     return mapping[key]
 
 
+def _finite(value: Any, path: str) -> float:
+    """``value`` as a finite float; bools, strings and NaN/Infinity are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValidationError(path, f"must be a finite number, got {value!r}")
+
+
 def _coeffs_from_json(raw: Any, path: str) -> tuple[tuple[float, float], ...]:
     if not isinstance(raw, list) or not raw:
         raise ValidationError(path, "must be a non-empty list of [x, y] pairs")
     coeffs = []
     for k, pair in enumerate(raw):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ValidationError(f"{path}[{k}]", "must be a numeric [x, y] pair")
-        coeffs.append((float(pair[0]), float(pair[1])))
+        coeffs.append((_finite(pair[0], f"{path}[{k}][0]"),
+                       _finite(pair[1], f"{path}[{k}][1]")))
     return tuple(coeffs)
 
 
@@ -135,8 +149,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     time_block = _require(data, "time", "")
     if not isinstance(time_block, dict):
         raise ValidationError("time", "must be an object with start/end/points")
-    t_start = float(_require(time_block, "start", "time"))
-    t_end = float(_require(time_block, "end", "time"))
+    t_start = _finite(_require(time_block, "start", "time"), "time.start")
+    t_end = _finite(_require(time_block, "end", "time"), "time.end")
     points = _require(time_block, "points", "time")
     if not isinstance(points, int) or isinstance(points, bool):
         raise ValidationError("time.points", f"must be an integer, got {points!r}")
@@ -158,16 +172,16 @@ def scenario_from_dict(data: dict) -> Scenario:
             _require(entry, "coeffs", f"targets[{i}]"), f"targets[{i}].coeffs")
         tonal = None
         if entry.get("tonal_hz") is not None:
-            tonal_hz = entry["tonal_hz"]
-            if not isinstance(tonal_hz, (int, float)) or tonal_hz <= 0:
+            tonal_hz = _finite(entry["tonal_hz"], f"targets[{i}].tonal_hz")
+            if tonal_hz <= 0:
                 raise ValidationError(f"targets[{i}].tonal_hz",
                                       f"must be a positive number, got {tonal_hz!r}")
-            tonal = Tonal(float(tonal_hz))
+            tonal = Tonal(tonal_hz)
         traj = PolynomialTrajectory(ref_time=t_start, coeffs=coeffs)
         # Align with the observer's order; see module docstring.
         targets.append(TargetConfig(trajectory=traj.padded(observer.order), tonal=tonal))
 
-    c = float(data.get("c", DEFAULT_SOUND_SPEED))
+    c = _finite(data.get("c", DEFAULT_SOUND_SPEED), "c")
     tol_raw = data.get("tolerances", {})
     if not isinstance(tol_raw, dict):
         raise ValidationError("tolerances", "must be an object")
@@ -175,14 +189,15 @@ def scenario_from_dict(data: dict) -> Scenario:
     unknown = set(tol_raw) - known
     if unknown:
         raise ValidationError("tolerances", f"unknown keys: {sorted(unknown)}")
-    defaults = Tolerances()
-    tolerances = Tolerances(
-        rank_tol=float(tol_raw.get("rank_tol", defaults.rank_tol)),
-        collinearity_tol=float(tol_raw.get("collinearity_tol", defaults.collinearity_tol)),
-        tol_f=None if tol_raw.get("tol_f") is None else float(tol_raw["tol_f"]),
-        tol_theta=float(tol_raw.get("tol_theta", defaults.tol_theta)),
-        eps_range=float(tol_raw.get("eps_range", defaults.eps_range)),
-    )
+    given = {}
+    for key, raw in tol_raw.items():
+        if key == "tol_f" and raw is None:
+            continue  # null: derive tol_f from context
+        value = _finite(raw, f"tolerances.{key}")
+        if not value > 0:
+            raise ValidationError(f"tolerances.{key}", f"must be > 0, got {value!r}")
+        given[key] = value
+    tolerances = Tolerances(**given)
 
     scenario = Scenario(
         observer=observer, targets=tuple(targets), t_start=t_start, t_end=t_end,
@@ -240,50 +255,107 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(dumps_json(scenario_to_dict(scenario)), encoding="utf-8")
 
 
-def _sanitize(value: Any) -> Any:
-    """Make a nested structure JSON-safe: numpy scalars to float, non-finite to None."""
+# np.float64 subclasses float, so float.__repr__ writes it as the equal Python float.
+_FLOAT_TYPES = {float, np.float64}
+
+
+def _float_texts(values: list | tuple):
+    """Each value's repr (non-finite ones as null), or None unless all are floats."""
+    if not set(map(type, values)) <= _FLOAT_TYPES:
+        return None
+    if all(map(math.isfinite, values)):
+        return map(float.__repr__, values)
+    return [float.__repr__(v) if math.isfinite(v) else "null" for v in values]
+
+
+def _encode_rows(rows: list | tuple, nl: str) -> str | None:
+    """Body of a list of equal-length float rows (a matrix), or None if it is not one."""
+    if not set(map(type, rows)) <= {list, tuple}:
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    texts = _float_texts(list(chain.from_iterable(rows)))
+    if texts is None:
+        return None
+    inner = nl + "  "
+    row = "[" + inner + ("," + inner).join(["%s"] * widths.pop()) + nl + "]"
+    return ("," + nl).join([row] * len(rows)) % tuple(texts)
+
+
+def _encode(value: Any, nl: str) -> str:
+    """JSON text of ``value``; ``nl`` is a newline plus the indent of the line it starts on."""
     if isinstance(value, dict):
-        return {k: _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        items = [f"{encode_basestring_ascii(key)}: {_encode(item, inner)}"
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(value, np.ndarray):
-        return [_sanitize(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if math.isfinite(v) else None
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
+        return _encode(value.tolist(), nl)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        texts = _float_texts(value)
+        body = ("," + inner).join(texts) if texts is not None else _encode_rows(value, inner)
+        if body is None:
+            body = ("," + inner).join([_encode(v, inner) for v in value])
+        return "[" + inner + body + nl + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value))
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def dumps_json(data: dict) -> str:
-    """Deterministic JSON text: insertion key order, 2-space indent, newline."""
-    return json.dumps(_sanitize(data), indent=2, allow_nan=False) + "\n"
+def dumps_json(data: Any) -> str:
+    """Deterministic JSON text: insertion key order, 2-space indent, newline.
 
-
-def _format_number(value: float) -> str:
-    return repr(float(value))
+    Byte contract: the text equals ``json.dumps(data, indent=2) + "\n"`` with
+    numpy scalars and arrays written as the equal Python numbers and lists,
+    and non-finite floats written as ``null``. Strings are ASCII-escaped,
+    floats take their ``repr`` digits, and dict keys must be strings. A list
+    of floats, or of equal-length float rows such as a matrix, is written
+    with one join.
+    """
+    return _encode(data, "\n") + "\n"
 
 
 def write_measurements_csv(history: MeasurementHistory, out: TextIO) -> None:
     """Measurement history as CSV with columns t,target_id,bearing_rad,doppler_hz.
 
-    The doppler column is left empty for targets without a tonal.
+    One row per time and target, times outer; numbers are written as their
+    ``repr``. The doppler column is left empty for targets without a tonal.
     """
     out.write("t,target_id,bearing_rad,doppler_hz\n")
-    for k, t in enumerate(history.times):
-        for i in range(history.num_targets):
-            dop = history.dopplers[i]
-            dop_text = "" if dop is None else _format_number(dop[k])
-            out.write(f"{_format_number(t)},{i},"
-                      f"{_format_number(history.bearings[i, k])},{dop_text}\n")
+    times = history.times.tolist()
+    row, columns = "", []
+    for i, (bearings, dop) in enumerate(zip(history.bearings, history.dopplers)):
+        if dop is None:
+            row += f"%r,{i},%r,\n"
+            columns += [times, bearings.tolist()]
+        else:
+            row += f"%r,{i},%r,%r\n"
+            columns += [times, bearings.tolist(), dop.tolist()]
+    out.write("".join(map(row.__mod__, zip(*columns))))
 
 
 def write_trajectory_csv(traj: SampledTrajectory, out: TextIO) -> None:
     """Sampled trajectory as CSV with columns t,x_m,y_m (same conventions as above)."""
     out.write("t,x_m,y_m\n")
-    for t, (x, y) in zip(traj.times, traj.positions):
-        out.write(f"{_format_number(t)},{_format_number(x)},{_format_number(y)}\n")
+    xs, ys = traj.positions.T.tolist()
+    out.write("".join(map("%r,%r,%r\n".__mod__, zip(traj.times.tolist(), xs, ys))))
 
 
 def read_trajectory_csv(path: str | Path) -> SampledTrajectory:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,7 @@ class TestVerifyAmbiguity:
         assert data["trajectory_i"]["type"] == "sampled"
         assert data["trajectory_j"]["type"] == "polynomial"
         assert data["verdict"] == AMBIGUOUS
+        assert json.loads(json.dumps(data)) == data
 
 
 class TestCombinedCondition:
@@ -197,6 +200,7 @@ class TestCombinedCondition:
         assert report.combined_ambiguous
         assert report.max_eigen_residual < 1e-12
         assert report.max_alpha_deviation < 1e-8
+        assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
 
     def test_rotation_breaks_eigenvector_condition(self):
         base, observer = base_geometry()

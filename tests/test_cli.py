@@ -120,6 +120,14 @@ class TestAmbiguity:
                         "--base-target", "1"]) == 1
         assert "tonal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("l_prime", ["0", "-1", "nan"])
+    def test_generate_rejects_non_positive_l_prime(self, tmp_path, capsys, l_prime):
+        assert run_cli(["ambiguity", "generate", str(DOPPLER_BASE),
+                        "--regime", "doppler", "-o", str(tmp_path / "x"),
+                        f"--l-prime={l_prime}"]) == 1
+        assert "error: --l-prime:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("rows", [
         ["0.0,500.0,500.0", "1.0,510.0,500.0", "1.0,520.0,500.0"],
         ["0.0,500.0,500.0", "2.0,510.0,500.0", "1.0,520.0,500.0"],
@@ -131,6 +139,32 @@ class TestAmbiguity:
         assert run_cli(["ambiguity", "verify", str(DOPPLER_BASE), str(csv),
                         "--regime", "bearing"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestScenarioNumbers:
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda d: d["time"].update(start="zero"), "time.start"),
+        (lambda d: d["time"].update(end=True), "time.end"),
+        (lambda d: d["tolerances"].update(rank_tol=-1), "tolerances.rank_tol"),
+        (lambda d: d["targets"][0]["coeffs"][0].__setitem__(0, float("nan")),
+         "targets[0].coeffs[0][0]"),
+        (lambda d: d["time"].update(end=float("inf")), "time.end"),
+        (lambda d: d.update(c=None), "c"),
+        (lambda d: d.update(c=10 ** 400), "c"),
+        (lambda d: d["targets"][0].update(tonal_hz=True), "targets[0].tonal_hz"),
+        (lambda d: d["targets"][0].update(tonal_hz=float("nan")), "targets[0].tonal_hz"),
+        (lambda d: d["observer"]["coeffs"][1].__setitem__(1, "5"), "observer.coeffs[1][1]"),
+        (lambda d: d["tolerances"].update(tol_f=0.0), "tolerances.tol_f"),
+        (lambda d: d["tolerances"].update(eps_range=float("nan")), "tolerances.eps_range"),
+        (lambda d: d["tolerances"].update(tol_theta=False), "tolerances.tol_theta"),
+    ])
+    def test_bad_number_exits_one(self, tmp_path, capsys, mutate, field):
+        data = json.loads(OBSERVABLE.read_text())
+        mutate(data)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))  # a NaN is written as the literal NaN
+        assert run_cli(["observability", str(path)]) == 1
+        assert f"error: {field}:" in capsys.readouterr().err
 
 
 class TestMisc:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,4 @@ class TestVerdictConsistency:
         assert data["uniqueness"] == UNIQUE
         assert len(data["x_initial_hat"]) == 2
         assert data["null_space"] is None
+        assert json.loads(json.dumps(data)) == data

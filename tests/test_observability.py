@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,7 @@ class TestCheckObservable:
         assert data["rank_decision"] == UNOBSERVABLE
         assert len(data["singular_values"]) == 2
         assert data["min_pairwise_separation"] is None
+        assert json.loads(json.dumps(data)) == data
 
 
 class TestSeparation:

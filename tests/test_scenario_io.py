@@ -1,11 +1,16 @@
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from obskit.errors import ParseError, ValidationError
-from obskit.scenario_io import (Scenario, TargetConfig, Tolerances, load_scenario,
-                                read_trajectory_csv, save_scenario,
+from obskit.scenario_io import (Scenario, TargetConfig, Tolerances, dumps_json,
+                                load_scenario, read_trajectory_csv, save_scenario,
                                 scenario_from_dict, scenario_to_dict,
                                 validate_scenario, write_trajectory_csv)
 from obskit.trajectory import PolynomialTrajectory, SampledTrajectory
@@ -156,3 +161,58 @@ class TestTrajectoryCsv:
         path.write_text("t,x_m,y_m\n0,one,2\n", encoding="utf-8")
         with pytest.raises(ParseError):
             read_trajectory_csv(path)
+
+    def test_exact_layout(self):
+        # One row per sample, every number written as its repr.
+        times = [0.0, 1e-5, 0.1, 1.0 / 3.0, 1e16]
+        positions = [(-0.0, 5e-324), (1e16, -1e-5), (math.nan, math.inf),
+                     (-math.inf, 2.5), (123456.789, -7.0)]
+        out = io.StringIO()
+        write_trajectory_csv(SampledTrajectory(times=times, positions=positions), out)
+        expected = "t,x_m,y_m\n" + "".join(
+            f"{repr(float(t))},{repr(float(x))},{repr(float(y))}\n"
+            for t, (x, y) in zip(times, positions))
+        assert out.getvalue() == expected
+
+
+def ref(value):
+    """Reference for dumps_json: numpy to Python types, non-finite floats to None."""
+    if isinstance(value, dict):
+        return {k: ref(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [ref(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [ref(v) for v in value.tolist()]
+    if isinstance(value, (np.floating, float)):
+        v = float(value)
+        return v if math.isfinite(v) else None
+    if isinstance(value, np.integer):
+        return int(value)
+    return value
+
+
+FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308, 1e16, 1e-5, 0.1])
+NUMPY_FLOATS = FLOATS.map(np.float64) | st.floats(width=32).map(np.float32)
+SCALARS = (FLOATS | NUMPY_FLOATS | st.integers()
+           | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+           | st.booleans() | st.none() | st.text())
+FLOAT_LISTS = st.lists(FLOATS | NUMPY_FLOATS, max_size=6)
+FLOAT_ROWS = st.integers(0, 3).flatmap(
+    lambda width: st.lists(st.lists(FLOATS, min_size=width, max_size=width)
+                           | st.tuples(*[FLOATS] * width), max_size=4))
+ARRAYS = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.int64]),
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4))
+LEAVES = SCALARS | FLOAT_LISTS | FLOAT_ROWS | ARRAYS
+
+
+@settings(max_examples=400)
+@given(st.recursive(
+    LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=5), children, max_size=4)),
+    max_leaves=12))
+def test_dumps_json_matches_stdlib_reference(value):
+    assert dumps_json(value) == json.dumps(ref(value), indent=2, allow_nan=False) + "\n"
