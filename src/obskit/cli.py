@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 validation/input error, 2 analysis error
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,14 +28,23 @@ from .errors import (DegenerateSystem, NonPositiveAlpha, NonPositiveRange, Parse
 from .estimator import UNIQUE, cross_validate, estimate_initial_state
 from .measurement import measure_scenario
 from .observability import check_observable, report_text
-from .scenario_io import (Scenario, dumps_json, load_scenario, read_trajectory_csv,
-                          validate_scenario, write_measurements_csv,
-                          write_trajectory_csv)
+from .scenario_io import (Scenario, _finite, dumps_json, load_scenario,
+                          read_trajectory_csv, validate_scenario,
+                          write_measurements_csv, write_trajectory_csv)
+
+
+def _check_numbers(args: argparse.Namespace) -> None:
+    """Hold the numeric options to the number rules of scenario files."""
+    for dest in ("rank_tol", "l_prime", "tonal_i", "b_prime", "rotation_rate",
+                 "alpha_amplitude", "alpha_rate"):
+        if getattr(args, dest, None) is not None:
+            _finite(getattr(args, dest), "--" + dest.replace("_", "-"),
+                    positive=dest in ("rank_tol", "l_prime", "tonal_i"))
 
 
 def _load(args: argparse.Namespace) -> Scenario:
     scenario = load_scenario(args.scenario)
-    if getattr(args, "grid_points", None):
+    if getattr(args, "grid_points", None) is not None:
         scenario = replace(scenario, grid_points=args.grid_points)
         validate_scenario(scenario)
     return scenario
@@ -100,9 +108,6 @@ def _cmd_ambiguity_generate(args: argparse.Namespace) -> int:
             raise ValidationError(
                 f"targets[{args.base_target}].tonal_hz",
                 "doppler-regime generation needs the base target's tonal")
-        if not (math.isfinite(args.l_prime) and args.l_prime > 0):
-            raise ValidationError(
-                "--l-prime", f"must be a finite number > 0, got {args.l_prime}")
         spec = DopplerAmbiguitySpec(
             l_prime=args.l_prime, b_prime=args.b_prime,
             rotation=lambda t: args.rotation_rate * (t - t0), c=scenario.c)
@@ -241,6 +246,7 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
+        _check_numbers(args)
         return args.func(args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

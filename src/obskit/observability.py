@@ -1,13 +1,13 @@
 """Observability analysis: quadrature Gramian, spectral rank test, and
 bearing-geometry diagnostics (pairwise separation modulo pi, collinearity).
 
-The Gramian integrates Phi^T C^T C Phi over the observation window with
-composite Simpson quadrature; the system is declared observable when the
-ratio of its extreme singular values exceeds ``rank_tol``. Because C places
-each target's pseudo-linear bearing row in its own block, the Gramian is
-block-diagonal: block i is A_i^T W A_i, with A_i the target's design matrix
-on the quadrature nodes and W the diagonal of Simpson weights. The report
-also exposes per-target block conditioning.
+All of it comes from one measurement pass over the scenario grid. The
+Gramian integrates Phi^T C^T C Phi over the window with quadrature weights
+on that grid; the system is declared observable when the ratio of its extreme
+singular values exceeds ``rank_tol``. C places each target's pseudo-linear
+bearing row in its own block, so the Gramian is block-diagonal: block i is
+A_i^T W A_i, with A_i the target's design matrix on the grid and W the
+diagonal of quadrature weights. Per-target block conditioning is reported.
 The geometric criterion (all bearings distinct modulo pi) is reported as a
 separate diagnostic: it does not capture single-target unobservability and
 is therefore never folded into the rank decision.
@@ -15,13 +15,13 @@ is therefore never folded into the rank decision.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import MeasurementHistory, bearing, design_matrix, measure_scenario
+from .measurement import MeasurementHistory, design_matrix, measure_scenario
 from .scenario_io import Scenario
-from .trajectory import relative_state
 
 OBSERVABLE = "observable"
 UNOBSERVABLE = "unobservable"
@@ -102,55 +102,61 @@ def separation_mod_pi(theta_a: float | np.ndarray, theta_b: float | np.ndarray):
 
 
 def _simpson_weights(nodes: int, h: float) -> np.ndarray:
-    # nodes must be odd (even interval count)
-    w = np.ones(nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
+    """Weights for ``nodes`` uniform points spaced ``h``: composite Simpson for an
+    odd count; for an even count >= 4, Simpson on the first nodes - 3 points
+    and the 3/8 rule on the last three intervals; the trapezoid rule for 2."""
+    if nodes % 2:
+        w = np.ones(nodes)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        return w * (h / 3.0)
+    if nodes == 2:
+        return np.full(2, 0.5 * h)
+    w = np.zeros(nodes)
+    if nodes > 4:
+        w[:-3] = _simpson_weights(nodes - 3, h)
+    w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
+    return w
 
 
-def gramian(scenario: Scenario, quadrature_nodes: int | None = None) -> np.ndarray:
-    """Composite-Simpson approximation of the observability Gramian.
+def gramian(history: MeasurementHistory, orders: Sequence[int]) -> np.ndarray:
+    """Quadrature approximation of the observability Gramian on the history's grid.
 
-    Integrates Phi^T(t, t_i) C^T(t) C(t) Phi(t, t_i) over the window on a
-    uniform node set (the scenario grid by default, padded by one node when
-    the count is even, since Simpson needs an even interval count). Each
-    target contributes the diagonal block A_i^T W A_i of its design matrix
-    A_i; the result is symmetrized as (G + G^T) / 2.
+    Integrates Phi^T C^T C Phi over the uniform grid of ``history`` with the
+    weights of ``_simpson_weights``: target i, of order ``orders[i]``, gives
+    the diagonal block A_i^T W A_i of its design matrix A_i. The result is
+    symmetrized as (G + G^T) / 2; a zero-length window gives a zero matrix.
 
     Raises:
-        ZeroRange: Propagated if any target meets the observer at a node.
+        ValueError: For fewer than 2 grid nodes.
     """
-    nodes = scenario.grid_points if quadrature_nodes is None else int(quadrature_nodes)
+    times = history.times
+    nodes = len(times)
     if nodes < 2:
-        raise ValueError(f"quadrature_nodes must be >= 2, got {nodes}")
-    if nodes % 2 == 0:
-        nodes += 1
-    orders = scenario.effective_orders()
+        raise ValueError(f"the Gramian needs at least 2 grid nodes, got {nodes}")
+    weights = _simpson_weights(nodes, (times[-1] - times[0]) / (nodes - 1))
     size = 2 * sum(p + 1 for p in orders)
-    if scenario.t_end == scenario.t_start:
-        return np.zeros((size, size))
-
-    times = np.linspace(scenario.t_start, scenario.t_end, nodes)
-    h = (scenario.t_end - scenario.t_start) / (nodes - 1)
-    weights = _simpson_weights(nodes, h)
-    eps = scenario.tolerances.eps_range
-
     G = np.zeros((size, size))
     at = 0
-    for traj, p in zip(scenario.target_trajectories(), orders):
-        thetas = bearing(relative_state(traj, scenario.observer, times, eps))
-        A = design_matrix(thetas, times, scenario.t_start, p)
+    for thetas, p in zip(history.bearings, orders, strict=True):
+        A = design_matrix(thetas, times, times[0], p)
         n = A.shape[1]
         G[at:at + n, at:at + n] = A.T @ (weights[:, None] * A)
         at += n
     return 0.5 * (G + G.T)
 
 
+def _partner_separations(history: MeasurementHistory) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (i, sep) per target, sep[r] the separation modulo pi of pair
+    (i, i + 1 + r) on the grid: one (M - 1 - i, N) block, never all pairs."""
+    for i in range(history.num_targets - 1):
+        yield i, separation_mod_pi(history.bearings[i], history.bearings[i + 1:])
+
+
 def bearing_separation_mod_pi(
     history: MeasurementHistory,
 ) -> tuple[float, tuple[int, int], float]:
-    """Minimum pairwise bearing separation modulo pi over the grid.
+    """Minimum pairwise bearing separation modulo pi over the grid (first on ties).
 
     Returns:
         (min_separation, (i, j), time) at the argmin.
@@ -158,16 +164,13 @@ def bearing_separation_mod_pi(
     Raises:
         ValueError: For single-target histories.
     """
-    m = history.num_targets
-    if m < 2:
+    if history.num_targets < 2:
         raise ValueError("pairwise separation needs at least two targets")
     best = (np.inf, (0, 1), float(history.times[0]))
-    for i in range(m):
-        for j in range(i + 1, m):
-            sep = separation_mod_pi(history.bearings[i], history.bearings[j])
-            k = int(np.argmin(sep))
-            if sep[k] < best[0]:
-                best = (float(sep[k]), (i, j), float(history.times[k]))
+    for i, sep in _partner_separations(history):
+        r, k = divmod(int(np.argmin(sep)), sep.shape[1])
+        if sep[r, k] < best[0]:
+            best = (float(sep[r, k]), (i, i + 1 + r), float(history.times[k]))
     return best
 
 
@@ -176,30 +179,24 @@ def detect_collinearity(
 ) -> list[CollinearityEvent]:
     """Maximal grid subintervals per pair with separation below the tolerance.
 
-    An empty list means the distinct-modulo-pi condition holds on the grid.
+    Events are ordered by pair (i, j), then by time. An empty list means the
+    distinct-modulo-pi condition holds on the grid.
     """
-    m = history.num_targets
-    if m < 2:
+    if history.num_targets < 2:
         raise ValueError("collinearity detection needs at least two targets")
-    events: list[CollinearityEvent] = []
     times = history.times
-    for i in range(m):
-        for j in range(i + 1, m):
-            sep = separation_mod_pi(history.bearings[i], history.bearings[j])
-            below = sep < collinearity_tol
-            k = 0
-            while k < len(times):
-                if below[k]:
-                    start = k
-                    while k + 1 < len(times) and below[k + 1]:
-                        k += 1
-                    events.append(CollinearityEvent(
-                        pair=(i, j),
-                        t_start=float(times[start]),
-                        t_end=float(times[k]),
-                        separation_min=float(np.min(sep[start:k + 1])),
-                    ))
-                k += 1
+    events: list[CollinearityEvent] = []
+    for i, sep in _partner_separations(history):
+        # Padded with False, each row's mask flips at a run's start, then its end.
+        rows, edges = np.nonzero(np.diff(sep < collinearity_tol, axis=1,
+                                         prepend=False, append=False))
+        for r, start, stop in zip(rows[::2], edges[::2], edges[1::2]):
+            events.append(CollinearityEvent(
+                pair=(i, i + 1 + int(r)),
+                t_start=float(times[start]),
+                t_end=float(times[stop - 1]),
+                separation_min=float(np.min(sep[r, start:stop])),
+            ))
     return events
 
 
@@ -208,26 +205,23 @@ def check_observable(scenario: Scenario, rank_tol: float | None = None) -> Obser
     if rank_tol is None:
         rank_tol = scenario.tolerances.rank_tol
     orders = scenario.effective_orders()
-    G = gramian(scenario)
+    history = measure_scenario(scenario)
+    G = gramian(history, orders)
     _, svals, vt = np.linalg.svd(G)
     sigma_max = float(svals[0])
     ratio = float(svals[-1] / sigma_max) if sigma_max > 0 else 0.0
     observable = ratio > rank_tol
     null_space = None if observable else vt[-1].copy()
 
+    edges = np.cumsum([0, *(2 * (p + 1) for p in orders)])
     block_ratios = []
-    at = 0
-    for p in orders:
-        n = 2 * (p + 1)
-        block = G[at:at + n, at:at + n]
-        bs = np.linalg.svd(block, compute_uv=False)
+    for a, b in zip(edges[:-1], edges[1:]):
+        bs = np.linalg.svd(G[a:b, a:b], compute_uv=False)
         block_ratios.append(float(bs[-1] / bs[0]) if bs[0] > 0 else 0.0)
-        at += n
 
     min_sep = argmin_pair = argmin_time = None
     events: tuple[CollinearityEvent, ...] = ()
-    if len(scenario.targets) >= 2:
-        history = measure_scenario(scenario)
+    if history.num_targets >= 2:
         min_sep, argmin_pair, argmin_time = bearing_separation_mod_pi(history)
         events = tuple(detect_collinearity(
             history, scenario.tolerances.collinearity_tol))

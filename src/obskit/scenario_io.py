@@ -118,16 +118,17 @@ def _require(mapping: dict, key: str, path: str) -> Any:
     return mapping[key]
 
 
-def _finite(value: Any, path: str) -> float:
-    """``value`` as a finite float; bools, strings and NaN/Infinity are rejected."""
+def _finite(value: Any, path: str, positive: bool = False) -> float:
+    """``value`` as a finite float, > 0 if ``positive``; no bools, strings, NaN or Infinity."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:
             number = math.inf
-        if math.isfinite(number):
+        if math.isfinite(number) and (number > 0 or not positive):
             return number
-    raise ValidationError(path, f"must be a finite number, got {value!r}")
+    rule = "a finite number > 0" if positive else "a finite number"
+    raise ValidationError(path, f"must be {rule}, got {value!r}")
 
 
 def _coeffs_from_json(raw: Any, path: str) -> tuple[tuple[float, float], ...]:
@@ -172,11 +173,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             _require(entry, "coeffs", f"targets[{i}]"), f"targets[{i}].coeffs")
         tonal = None
         if entry.get("tonal_hz") is not None:
-            tonal_hz = _finite(entry["tonal_hz"], f"targets[{i}].tonal_hz")
-            if tonal_hz <= 0:
-                raise ValidationError(f"targets[{i}].tonal_hz",
-                                      f"must be a positive number, got {tonal_hz!r}")
-            tonal = Tonal(tonal_hz)
+            tonal = Tonal(_finite(entry["tonal_hz"], f"targets[{i}].tonal_hz", positive=True))
         traj = PolynomialTrajectory(ref_time=t_start, coeffs=coeffs)
         # Align with the observer's order; see module docstring.
         targets.append(TargetConfig(trajectory=traj.padded(observer.order), tonal=tonal))
@@ -193,10 +190,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     for key, raw in tol_raw.items():
         if key == "tol_f" and raw is None:
             continue  # null: derive tol_f from context
-        value = _finite(raw, f"tolerances.{key}")
-        if not value > 0:
-            raise ValidationError(f"tolerances.{key}", f"must be > 0, got {value!r}")
-        given[key] = value
+        given[key] = _finite(raw, f"tolerances.{key}", positive=True)
     tolerances = Tolerances(**given)
 
     scenario = Scenario(
@@ -362,8 +356,8 @@ def read_trajectory_csv(path: str | Path) -> SampledTrajectory:
     """Read a t,x_m,y_m CSV back into a SampledTrajectory.
 
     Raises:
-        ParseError: Unreadable file, bad header or value, fewer than three
-            rows (range rates of sampled trajectories need second-order
+        ParseError: Unreadable file, bad header, non-numeric or non-finite
+            value, fewer than three rows (sampled range rates need second-order
             differences), or times that are not strictly increasing.
     """
     try:
@@ -382,9 +376,12 @@ def read_trajectory_csv(path: str | Path) -> SampledTrajectory:
             positions.append((float(parts[1]), float(parts[2])))
         except ValueError as exc:
             raise ParseError(f"{path}:{ln}: non-numeric value") from exc
-    times = np.asarray(times)
+    times, positions = np.asarray(times), np.asarray(positions)
+    finite = np.isfinite(times) & np.isfinite(positions).all(axis=-1)
+    if not finite.all():
+        raise ParseError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite value")
     if len(times) < 3:
         raise ParseError(f"{path}: need at least 3 rows, got {len(times)}")
     if not np.all(np.diff(times) > 0):
         raise ParseError(f"{path}: times must be strictly increasing")
-    return SampledTrajectory(times=times, positions=np.asarray(positions))
+    return SampledTrajectory(times=times, positions=positions)

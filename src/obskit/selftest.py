@@ -175,7 +175,8 @@ def stacked_sigma_ratio(scenario: Scenario) -> float:
             rows.append(row)
             at += width
     svals = np.linalg.svd(np.array(rows), compute_uv=False)
-    if svals[0] == 0:
+    # With fewer rows than unknowns, svd omits the zero singular values.
+    if svals[0] == 0 or len(rows) < total:
         return 0.0
     return float((svals[-1] / svals[0]) ** 2)
 

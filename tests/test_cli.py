@@ -120,19 +120,13 @@ class TestAmbiguity:
                         "--base-target", "1"]) == 1
         assert "tonal" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("l_prime", ["0", "-1", "nan"])
-    def test_generate_rejects_non_positive_l_prime(self, tmp_path, capsys, l_prime):
-        assert run_cli(["ambiguity", "generate", str(DOPPLER_BASE),
-                        "--regime", "doppler", "-o", str(tmp_path / "x"),
-                        f"--l-prime={l_prime}"]) == 1
-        assert "error: --l-prime:" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
     @pytest.mark.parametrize("rows", [
         ["0.0,500.0,500.0", "1.0,510.0,500.0", "1.0,520.0,500.0"],
         ["0.0,500.0,500.0", "2.0,510.0,500.0", "1.0,520.0,500.0"],
         ["0.0,500.0,500.0", "1.0,510.0,500.0"],
-    ], ids=["duplicate_times", "decreasing_times", "two_rows"])
+        ["0.0,nan,500.0", "1.0,510.0,500.0", "2.0,520.0,500.0"],
+        ["0.0,500.0,500.0", "1.0,510.0,500.0", "inf,520.0,500.0"],
+    ], ids=["duplicate_times", "decreasing_times", "two_rows", "nan_position", "inf_time"])
     def test_verify_rejects_unusable_trajectory_csv(self, tmp_path, capsys, rows):
         csv = tmp_path / "candidate.csv"
         csv.write_text("\n".join(["t,x_m,y_m", *rows]) + "\n")
@@ -165,6 +159,51 @@ class TestScenarioNumbers:
         path.write_text(json.dumps(data))  # a NaN is written as the literal NaN
         assert run_cli(["observability", str(path)]) == 1
         assert f"error: {field}:" in capsys.readouterr().err
+
+
+# Argument templates per command; {out} is an empty output directory, {csv} a
+# valid candidate trajectory.
+COMMANDS = {
+    "generate_doppler": ["ambiguity", "generate", str(DOPPLER_BASE), "--regime", "doppler",
+                         "-o", "{out}/x"],
+    "generate_bearing": ["ambiguity", "generate", str(DOPPLER_BASE), "--regime", "bearing",
+                         "-o", "{out}/x"],
+    "verify_doppler": ["ambiguity", "verify", str(DOPPLER_BASE), "{csv}",
+                       "--regime", "doppler", "-o", "{out}/cert.json"],
+    "observability": ["observability", str(OBSERVABLE), "-o", "{out}/report.json"],
+    "estimate": ["estimate", str(OBSERVABLE), "-o", "{out}/estimate.json"],
+}
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("generate_doppler", "l-prime", "0"),
+    ("generate_doppler", "l-prime", "-1"),
+    ("generate_doppler", "l-prime", "nan"),
+    ("generate_doppler", "b-prime", "inf"),
+    ("generate_doppler", "rotation-rate", "nan"),
+    ("generate_bearing", "alpha-amplitude", "inf"),
+    ("generate_bearing", "alpha-rate", "nan"),
+    ("verify_doppler", "tonal-i", "0"),
+    ("verify_doppler", "tonal-i", "-5"),
+    ("verify_doppler", "tonal-i", "nan"),
+    ("observability", "rank-tol", "nan"),
+    ("observability", "rank-tol", "-1"),
+    ("observability", "rank-tol", "0"),
+    ("observability", "rank-tol", "inf"),
+    ("estimate", "rank-tol", "nan"),
+    ("observability", "grid-points", "0"),
+])
+def test_bad_number_option_exits_one(tmp_path, capsys, command, option, value):
+    csv = tmp_path / "candidate.csv"
+    csv.write_text("t,x_m,y_m\n0.0,500.0,500.0\n1.0,510.0,500.0\n2.0,520.0,500.0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [a.replace("{out}", str(out)).replace("{csv}", str(csv))
+            for a in COMMANDS[command]]
+    assert run_cli([*argv, f"--{option}={value}"]) == 1
+    field = "time.points" if option == "grid-points" else f"--{option}"
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not list(out.iterdir())
 
 
 class TestMisc:

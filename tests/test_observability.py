@@ -1,11 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obskit.estimator import split_state
 from obskit.measurement import MeasurementHistory, measure_scenario, pseudo_row
-from obskit.observability import (OBSERVABLE, UNOBSERVABLE, bearing_separation_mod_pi,
+from obskit.observability import (OBSERVABLE, UNOBSERVABLE, CollinearityEvent,
+                                  _simpson_weights, bearing_separation_mod_pi,
                                   check_observable, detect_collinearity, gramian,
                                   report_text, separation_mod_pi)
 from obskit.scenario_io import Scenario, TargetConfig
@@ -29,12 +33,24 @@ def history_from_bearings(times, bearings):
 
 
 class TestGramian:
+    def test_quadrature_exact_for_cubics(self):
+        # Odd counts use Simpson, even ones Simpson plus the 3/8 rule on the
+        # last three intervals; both are exact for cubics. Two nodes use the
+        # trapezoid rule, exact for linear functions.
+        a, b = 0.5, 3.0
+        for nodes in [2, *range(3, 41)]:
+            t = np.linspace(a, b, nodes)
+            w = _simpson_weights(nodes, (b - a) / (nodes - 1))
+            for k in range(2 if nodes == 2 else 4):
+                exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+                assert w @ t ** k == pytest.approx(exact, rel=1e-12), (nodes, k)
+
     def test_single_static_target_closed_form(self):
         # constant bearing theta: G = T * v v^T with v = (cos, -sin)
         scenario = single_static_scenario()
         theta = np.arctan2(300.0, 400.0)
         v = np.array([np.cos(theta), -np.sin(theta)])
-        G = gramian(scenario)
+        G = gramian(measure_scenario(scenario), scenario.effective_orders())
         assert np.allclose(G, 10.0 * np.outer(v, v), rtol=1e-12)
         svals = np.linalg.svd(G, compute_uv=False)
         assert svals[0] == pytest.approx(10.0)
@@ -46,7 +62,8 @@ class TestGramian:
             targets=(TargetConfig(PolynomialTrajectory(0.0, ((10.0, 10.0),))),),
             t_start=0.0, t_end=0.0, grid_points=5,
         )
-        assert np.array_equal(gramian(scenario), np.zeros((2, 2)))
+        assert np.array_equal(gramian(measure_scenario(scenario), scenario.effective_orders()),
+                              np.zeros((2, 2)))
 
     def test_two_constant_bearing_targets_stay_block_rank_deficient(self):
         # Each target contributes an independent rank-1 block, so two
@@ -60,7 +77,7 @@ class TestGramian:
             ),
             t_start=0.0, t_end=8.0, grid_points=9,
         )
-        G = gramian(scenario)
+        G = gramian(measure_scenario(scenario), scenario.effective_orders())
         thetas = [np.pi / 2, 0.0]
         expected = np.zeros((4, 4))
         for i, theta in enumerate(thetas):
@@ -69,21 +86,25 @@ class TestGramian:
         assert np.allclose(G, expected, atol=1e-12)
         assert np.linalg.matrix_rank(G, tol=1e-9) == 2
 
-    def test_even_node_count_padded_for_simpson(self):
+    def test_even_grid_matches_odd_grid(self):
         scenario = single_static_scenario()
-        G_even = gramian(scenario, quadrature_nodes=10)
-        G_odd = gramian(scenario, quadrature_nodes=11)
+        even = replace(scenario, grid_points=10)
+        odd = replace(scenario, grid_points=11)
+        G_even = gramian(measure_scenario(even), even.effective_orders())
+        G_odd = gramian(measure_scenario(odd), odd.effective_orders())
         assert np.allclose(G_even, G_odd, rtol=1e-12)
 
     def test_node_count_floor(self):
+        scenario = replace(single_static_scenario(), grid_points=1)
+        history = measure_scenario(scenario)
         with pytest.raises(ValueError):
-            gramian(single_static_scenario(), quadrature_nodes=1)
+            gramian(history, scenario.effective_orders())
 
     def test_positive_semidefinite_on_random_scenarios(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             scenario = random_scenario(rng, target_order_max=1)
-            G = gramian(scenario)
+            G = gramian(measure_scenario(scenario), scenario.effective_orders())
             eigvals = np.linalg.eigvalsh(G)
             assert eigvals[0] >= -1e-10 * eigvals[-1]
 
@@ -91,7 +112,8 @@ class TestGramian:
         scenario = random_scenario(np.random.default_rng(31))
         base = check_observable(scenario)
         nodes = scenario.grid_points
-        G2 = gramian(scenario, quadrature_nodes=2 * nodes)
+        refined = replace(scenario, grid_points=2 * nodes)
+        G2 = gramian(measure_scenario(refined), refined.effective_orders())
         svals = np.linalg.svd(G2, compute_uv=False)
         refined_ratio = svals[-1] / svals[0]
         assert abs(refined_ratio - base.sigma_ratio) < 0.01 * base.sigma_ratio
@@ -182,6 +204,69 @@ class TestSeparation:
             bearing_separation_mod_pi(history)
 
 
+def reference_min_separation(history):
+    # Per-pair loop the vectorised scan must reproduce, ties included.
+    m = history.num_targets
+    best = (np.inf, (0, 1), float(history.times[0]))
+    for i in range(m):
+        for j in range(i + 1, m):
+            sep = separation_mod_pi(history.bearings[i], history.bearings[j])
+            k = int(np.argmin(sep))
+            if sep[k] < best[0]:
+                best = (float(sep[k]), (i, j), float(history.times[k]))
+    return best
+
+
+def reference_collinearity(history, collinearity_tol):
+    # Per-pair, per-node run scan the vectorised one must reproduce.
+    m = history.num_targets
+    events = []
+    times = history.times
+    for i in range(m):
+        for j in range(i + 1, m):
+            sep = separation_mod_pi(history.bearings[i], history.bearings[j])
+            below = sep < collinearity_tol
+            k = 0
+            while k < len(times):
+                if below[k]:
+                    start = k
+                    while k + 1 < len(times) and below[k + 1]:
+                        k += 1
+                    events.append(CollinearityEvent(
+                        pair=(i, j),
+                        t_start=float(times[start]),
+                        t_end=float(times[k]),
+                        separation_min=float(np.min(sep[start:k + 1])),
+                    ))
+                k += 1
+    return events
+
+
+@st.composite
+def planted_histories(draw):
+    """Random bearings with repeated values (tied minima) and planted collinear
+    runs of any length, including single nodes and runs touching either end."""
+    m, n = draw(st.integers(2, 6)), draw(st.integers(1, 12))
+    value = st.one_of(st.sampled_from([0.0, 5e-4, 1.0, np.pi / 2, -np.pi]),
+                      st.floats(-np.pi, np.pi))
+    bearings = np.array(draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                      min_size=m, max_size=m)))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        start = draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
+        stop = draw(st.sampled_from([start + 1, n]) | st.integers(start + 1, n))
+        shift = draw(st.sampled_from([0.0, np.pi, -np.pi, 2e-4]))
+        bearings[j, start:stop] = bearings[i, start:stop] + shift
+    return history_from_bearings(np.linspace(0.0, 5.0, n), bearings)
+
+
+@settings(max_examples=400)
+@given(history=planted_histories(), tol=st.sampled_from([1e-3, 0.3]))
+def test_pair_scans_match_per_pair_loops(history, tol):
+    assert bearing_separation_mod_pi(history) == reference_min_separation(history)
+    assert detect_collinearity(history, tol) == reference_collinearity(history, tol)
+
+
 class TestDetectCollinearity:
     def test_permanent_collinearity_spans_window(self):
         times = np.linspace(0.0, 6.0, 7)
@@ -223,6 +308,14 @@ class TestBruteForceOracle:
             scenario = random_rank_scenario_conditioned(rng)
             gramian_says = check_observable(scenario).rank_decision == OBSERVABLE
             assert gramian_says == stacked_rank_observable(scenario)
+
+    @pytest.mark.parametrize("nodes", [2, 3])
+    def test_starved_grid_rank_deficient(self, nodes):
+        # Two order-1 targets: 8 unknowns, but only 2 * nodes measurement rows.
+        scenario = replace(random_scenario(np.random.default_rng(0)), grid_points=nodes)
+        assert 2 * sum(p + 1 for p in scenario.effective_orders()) > 2 * nodes
+        assert not stacked_rank_observable(scenario)
+        assert check_observable(scenario).rank_decision == UNOBSERVABLE
 
 
 class TestEquivalenceOfCriteria:
