@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NonPositiveAlpha, NonPositiveRange, ZeroRange
 from .measurement import DEFAULT_SOUND_SPEED, angular_difference
-from .scenario_io import Tolerances
+from .scenario_io import Tolerances, fields_dict
 from .trajectory import (DEFAULT_EPS_RANGE, PolynomialTrajectory, SampledTrajectory,
                          relative_state)
 
@@ -75,28 +75,17 @@ class AmbiguityCertificate:
     bearing compares direction histories, combined requires both.
     """
 
-    trajectory_i: Trajectory
-    trajectory_j: Trajectory
     regime: str
+    verdict: str
     residual_doppler: float | None
     residual_bearing: float
-    verdict: str
     tol_f: float | None
     tol_theta: float
     tonals: tuple[float, float] | None
+    trajectory_i: Trajectory
+    trajectory_j: Trajectory
 
-    def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "verdict": self.verdict,
-            "residual_doppler": self.residual_doppler,
-            "residual_bearing": self.residual_bearing,
-            "tol_f": self.tol_f,
-            "tol_theta": self.tol_theta,
-            "tonals": None if self.tonals is None else list(self.tonals),
-            "trajectory_i": _traj_dict(self.trajectory_i),
-            "trajectory_j": _traj_dict(self.trajectory_j),
-        }
+    to_dict = fields_dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,30 +100,18 @@ class CombinedConditionReport:
     which forces the trajectories to coincide.
     """
 
+    combined_ambiguous: bool
+    eigenvector_condition_holds: bool
+    alpha_is_unity: bool
+    max_eigen_residual: float
+    max_alpha_deviation: float
+    tol: float
     times: np.ndarray
     alphas: np.ndarray
     eigen_residuals: np.ndarray
     position_residuals: np.ndarray
-    max_eigen_residual: float
-    max_alpha_deviation: float
-    eigenvector_condition_holds: bool
-    alpha_is_unity: bool
-    combined_ambiguous: bool
-    tol: float
 
-    def to_dict(self) -> dict:
-        return {
-            "combined_ambiguous": self.combined_ambiguous,
-            "eigenvector_condition_holds": self.eigenvector_condition_holds,
-            "alpha_is_unity": self.alpha_is_unity,
-            "max_eigen_residual": self.max_eigen_residual,
-            "max_alpha_deviation": self.max_alpha_deviation,
-            "tol": self.tol,
-            "times": self.times.tolist(),
-            "alphas": self.alphas.tolist(),
-            "eigen_residuals": self.eigen_residuals.tolist(),
-            "position_residuals": self.position_residuals.tolist(),
-        }
+    to_dict = fields_dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,27 +134,7 @@ class DopplerSufficiencyReport:
     tol: float
     tol_f: float
 
-    def to_dict(self) -> dict:
-        return {
-            "tonals_equal": self.tonals_equal,
-            "transform_is_identity": self.transform_is_identity,
-            "ranges_equal": self.ranges_equal,
-            "all_conditions_hold": self.all_conditions_hold,
-            "residual_doppler": self.residual_doppler,
-            "implication_holds": self.implication_holds,
-            "max_transform_deviation": self.max_transform_deviation,
-            "max_range_deviation": self.max_range_deviation,
-            "tol": self.tol,
-            "tol_f": self.tol_f,
-        }
-
-
-def _traj_dict(traj: Trajectory) -> dict:
-    if isinstance(traj, PolynomialTrajectory):
-        return {"type": "polynomial", "ref_time": traj.ref_time,
-                "coeffs": [list(c) for c in traj.coeffs]}
-    return {"type": "sampled", "times": traj.times.tolist(),
-            "positions": traj.positions.tolist()}
+    to_dict = fields_dict
 
 
 def _profile_values(profile: ScalarProfile, times: np.ndarray, name: str) -> np.ndarray:

@@ -8,7 +8,8 @@ Subcommands:
     selftest       Run the randomized self-check suites.
 
 Exit codes: 0 success, 1 validation/input error, 2 analysis error
-(zero range, infeasible ambiguity parameters, degenerate system).
+(zero range, infeasible ambiguity parameters, degenerate system, floating
+point overflow on extreme inputs).
 """
 
 from __future__ import annotations
@@ -247,12 +248,17 @@ def run_cli(argv: list[str]) -> int:
         return 0 if exc.code == 0 else 1
     try:
         _check_numbers(args)
-        return args.func(args)
+        # Overflow on inputs the loaders accept becomes an analysis error, not NaN output.
+        with np.errstate(all="raise", under="ignore"):
+            return args.func(args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ZeroRange, NonPositiveRange, NonPositiveAlpha, DegenerateSystem) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
+        return 2
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"analysis error: numerical overflow ({exc})", file=sys.stderr)
         return 2
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DegenerateSystem
 from .measurement import (MeasurementHistory, angular_difference, bearing,
                           design_matrix, measure_scenario)
-from .scenario_io import Scenario, Tolerances
+from .scenario_io import Scenario, Tolerances, fields_dict
 from .trajectory import PolynomialTrajectory, relative_state, trajectory_from_state
 
 UNIQUE = "unique"
@@ -31,38 +31,29 @@ class EstimateResult:
     """Recovered initial super state and its conditioning.
 
     Attributes:
+        uniqueness: "degenerate" when the normal-matrix sigma ratio falls
+            below rank_tol, else "unique".
         x_initial_hat: Stacked per-target raw-derivative states
             [x, y, xdot, ydot, ...] at the history start time (absolute
             coordinates), length 2s.
         residual_norm: Euclidean norm of the stacked least-squares residual.
         condition_number: Condition number of the normal matrix,
             (sigma_max / sigma_min)^2 of the stacked system; inf when singular.
-        uniqueness: "degenerate" when the normal-matrix sigma ratio falls
-            below rank_tol, else "unique".
         orders: Per-target polynomial orders the system was built with.
         singular_values: Descending singular values of the stacked system.
         null_space: Unit direction of the least-observable combination when
             degenerate (embedded in the full 2s space), else None.
     """
 
+    uniqueness: str
     x_initial_hat: np.ndarray
     residual_norm: float
     condition_number: float
-    uniqueness: str
     orders: tuple[int, ...]
     singular_values: np.ndarray
     null_space: np.ndarray | None
 
-    def to_dict(self) -> dict:
-        return {
-            "uniqueness": self.uniqueness,
-            "x_initial_hat": self.x_initial_hat.tolist(),
-            "residual_norm": self.residual_norm,
-            "condition_number": self.condition_number,
-            "orders": list(self.orders),
-            "singular_values": self.singular_values.tolist(),
-            "null_space": None if self.null_space is None else self.null_space.tolist(),
-        }
+    to_dict = fields_dict
 
 
 def estimate_initial_state(

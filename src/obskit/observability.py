@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import MeasurementHistory, design_matrix, measure_scenario
-from .scenario_io import Scenario
+from .scenario_io import Scenario, Tolerances, fields_dict
 
 OBSERVABLE = "observable"
 UNOBSERVABLE = "unobservable"
@@ -42,11 +42,10 @@ class ObservabilityReport:
     """Gramian spectrum, rank decision, and bearing-separation diagnostics.
 
     Attributes:
-        gramian: 2s x 2s symmetric PSD matrix.
-        singular_values: Descending singular values of the Gramian.
         rank_decision: "observable" when sigma_min/sigma_max > rank_tol.
         sigma_ratio: sigma_min / sigma_max (0 for a zero Gramian).
         rank_tol: Threshold the decision was made at.
+        singular_values: Descending singular values of the Gramian.
         null_space: Unit direction invisible to the measurements when
             unobservable (right singular vector of sigma_min), else None.
         per_target_sigma_ratios: Conditioning of each target's own block.
@@ -55,13 +54,13 @@ class ObservabilityReport:
             distance modulo pi; None for single-target scenarios.
         argmin_pair / argmin_time: Where that minimum is attained.
         collinearity_events: Maximal subintervals below collinearity_tol.
+        gramian: 2s x 2s symmetric PSD matrix.
     """
 
-    gramian: np.ndarray
-    singular_values: np.ndarray
     rank_decision: str
     sigma_ratio: float
     rank_tol: float
+    singular_values: np.ndarray
     null_space: np.ndarray | None
     per_target_sigma_ratios: tuple[float, ...]
     orders: tuple[int, ...]
@@ -69,36 +68,21 @@ class ObservabilityReport:
     argmin_pair: tuple[int, int] | None
     argmin_time: float | None
     collinearity_events: tuple[CollinearityEvent, ...]
+    gramian: np.ndarray
 
-    def to_dict(self) -> dict:
-        """JSON-ready representation (non-finite floats become null)."""
-        return {
-            "rank_decision": self.rank_decision,
-            "sigma_ratio": self.sigma_ratio,
-            "rank_tol": self.rank_tol,
-            "singular_values": self.singular_values.tolist(),
-            "null_space": None if self.null_space is None else self.null_space.tolist(),
-            "per_target_sigma_ratios": list(self.per_target_sigma_ratios),
-            "orders": list(self.orders),
-            "min_pairwise_separation": self.min_pairwise_separation,
-            "argmin_pair": None if self.argmin_pair is None else list(self.argmin_pair),
-            "argmin_time": self.argmin_time,
-            "collinearity_events": [
-                {"pair": list(e.pair), "t_start": e.t_start, "t_end": e.t_end,
-                 "separation_min": e.separation_min}
-                for e in self.collinearity_events
-            ],
-            "gramian": self.gramian.tolist(),
-        }
+    to_dict = fields_dict
 
 
 def separation_mod_pi(theta_a: float | np.ndarray, theta_b: float | np.ndarray):
     """Bearing distance modulo pi: min_k |theta_b - theta_a - k*pi|, in [0, pi/2]."""
-    d = np.mod(np.abs(np.asarray(theta_b) - np.asarray(theta_a)), np.pi)
-    out = np.minimum(d, np.pi - d)
-    if np.ndim(theta_a) == 0 and np.ndim(theta_b) == 0:
-        return float(out)
-    return out
+    d = np.subtract(theta_b, theta_a, dtype=float)
+    if np.ndim(d) == 0:  # a numpy scalar, which takes no out=
+        d = np.mod(np.abs(d), np.pi)
+        return float(np.minimum(d, np.pi - d))
+    # In place: an (M - 1 - i, N) partner block keeps two full-size arrays, not five.
+    np.abs(d, out=d)
+    np.mod(d, np.pi, out=d)
+    return np.minimum(d, np.pi - d, out=d)
 
 
 def _simpson_weights(nodes: int, h: float) -> np.ndarray:
@@ -175,7 +159,7 @@ def bearing_separation_mod_pi(
 
 
 def detect_collinearity(
-    history: MeasurementHistory, collinearity_tol: float = 1e-3,
+    history: MeasurementHistory, collinearity_tol: float = Tolerances.collinearity_tol,
 ) -> list[CollinearityEvent]:
     """Maximal grid subintervals per pair with separation below the tolerance.
 

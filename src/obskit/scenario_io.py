@@ -16,14 +16,22 @@ coefficients about ``time.start`` (coeffs[k] multiplies (t - start)^k).
 On load, target coefficient lists shorter than the observer's are
 zero-padded to the observer's order; padding does not change the
 trajectory, and analyses derive each target's order by trimming the
-trailing zero coefficients back off.
+trailing zero coefficients back off. ``time.points`` is at most
+``MAX_GRID_POINTS``, and every target's range and range rate must be
+finite on the grid.
+
+Reports are written with ``dumps_json(report.to_dict())``; each report's
+``to_dict`` is ``fields_dict``, so its dataclass fields, in order, are its
+JSON keys. The ``Tolerances`` fields are likewise the only list of
+tolerance names, for both reading and writing.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -35,6 +43,9 @@ from .errors import ParseError, ValidationError, ZeroRange
 from .measurement import DEFAULT_SOUND_SPEED, MeasurementHistory, Tonal
 from .trajectory import (DEFAULT_EPS_RANGE, PolynomialTrajectory, SampledTrajectory,
                          relative_state)
+
+# Largest accepted time grid; it bounds the memory of every grid-sized array.
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -87,29 +98,36 @@ class Scenario:
     def target_trajectories(self) -> tuple[PolynomialTrajectory, ...]:
         return tuple(t.trajectory for t in self.targets)
 
-    def tonals(self) -> tuple[Tonal | None, ...]:
-        return tuple(t.tonal for t in self.targets)
-
 
 def validate_scenario(scenario: Scenario) -> None:
     """Check every scenario invariant; raise ValidationError with a field path."""
     if not scenario.t_end > scenario.t_start:
         raise ValidationError("time.end", f"must exceed time.start ({scenario.t_start})")
+    if not math.isfinite(scenario.t_end - scenario.t_start):
+        raise ValidationError("time.end", "the window length overflows a float")
     if scenario.grid_points < 2:
         raise ValidationError("time.points", f"must be >= 2, got {scenario.grid_points}")
+    if scenario.grid_points > MAX_GRID_POINTS:
+        raise ValidationError(
+            "time.points", f"must be <= {MAX_GRID_POINTS}, got {scenario.grid_points}")
     if not scenario.c > 0:
         raise ValidationError("c", f"must be > 0 m/s, got {scenario.c}")
     if not scenario.targets:
         raise ValidationError("targets", "at least one target is required")
     eps = scenario.tolerances.eps_range
     times = scenario.grid()
-    for i, target in enumerate(scenario.targets):
-        try:
-            relative_state(target.trajectory, scenario.observer, times, eps)
-        except ZeroRange as exc:
-            raise ValidationError(
-                f"targets[{i}]", f"coincides with the observer at t={exc.time}"
-            ) from None
+    # Overflow shows as a non-finite range or range rate, checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, target in enumerate(scenario.targets):
+            try:
+                state = relative_state(target.trajectory, scenario.observer, times, eps)
+            except ZeroRange as exc:
+                raise ValidationError(
+                    f"targets[{i}]", f"coincides with the observer at t={exc.time}"
+                ) from None
+            if not (np.isfinite(state.range).all() and np.isfinite(state.range_rate).all()):
+                raise ValidationError(
+                    f"targets[{i}]", "range or range rate overflows a float on the time grid")
 
 
 def _require(mapping: dict, key: str, path: str) -> Any:
@@ -157,6 +175,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ValidationError("time.points", f"must be an integer, got {points!r}")
 
     observer_block = _require(data, "observer", "")
+    if not isinstance(observer_block, dict):
+        raise ValidationError("observer", "must be an object with coeffs")
     observer = PolynomialTrajectory(
         ref_time=t_start, coeffs=_coeffs_from_json(
             _require(observer_block, "coeffs", "observer"), "observer.coeffs")
@@ -182,8 +202,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     tol_raw = data.get("tolerances", {})
     if not isinstance(tol_raw, dict):
         raise ValidationError("tolerances", "must be an object")
-    known = {"rank_tol", "collinearity_tol", "tol_f", "tol_theta", "eps_range"}
-    unknown = set(tol_raw) - known
+    unknown = set(tol_raw) - {f.name for f in fields(Tolerances)}
     if unknown:
         raise ValidationError("tolerances", f"unknown keys: {sorted(unknown)}")
     given = {}
@@ -227,26 +246,56 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         if t.tonal is not None:
             entry["tonal_hz"] = t.tonal.f0
         targets.append(entry)
-    tol = scenario.tolerances
     return {
         "observer": {"coeffs": [list(pair) for pair in scenario.observer.coeffs]},
         "targets": targets,
         "time": {"start": scenario.t_start, "end": scenario.t_end,
                  "points": scenario.grid_points},
         "c": scenario.c,
-        "tolerances": {
-            "rank_tol": tol.rank_tol,
-            "collinearity_tol": tol.collinearity_tol,
-            "tol_f": tol.tol_f,
-            "tol_theta": tol.tol_theta,
-            "eps_range": tol.eps_range,
-        },
+        "tolerances": fields_dict(scenario.tolerances),
     }
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
     """Write a scenario in canonical form (stable key order, trailing newline)."""
     Path(path).write_text(dumps_json(scenario_to_dict(scenario)), encoding="utf-8")
+
+
+_SCALAR_TYPES = {float, int, bool, str, type(None)}
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _plain(value: Any) -> Any:
+    """``value`` as JSON-ready data, converted as ``fields_dict`` describes."""
+    if type(value) in _SCALAR_TYPES:
+        return value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return list(map(_plain, value))
+    to_dict = getattr(value, "to_dict", None)
+    if to_dict is not None:
+        return to_dict()
+    if is_dataclass(value):
+        return fields_dict(value)
+    return value
+
+
+def fields_dict(obj: Any) -> dict:
+    """JSON-ready dict of a dataclass instance: one key per field.
+
+    Contract: field order is the key order of the written JSON. A report's
+    dataclass fields are its schema, so a new field is a new key, and moving
+    a field moves its key in every written file. Values are converted
+    recursively: an ndarray becomes its ``tolist()``, a list or tuple a list,
+    a value with its own ``to_dict`` that method's dict, and any other
+    dataclass its ``fields_dict``; numbers, strings and None pass through.
+    """
+    return {name: _plain(getattr(obj, name)) for name in _field_names(type(obj))}
 
 
 # np.float64 subclasses float, so float.__repr__ writes it as the equal Python float.

@@ -235,12 +235,11 @@ def pseudo_linear_suite(rng: np.random.Generator, scenarios: int = 20) -> float:
     for _ in range(scenarios):
         scenario = random_scenario(rng)
         for traj in scenario.target_trajectories():
-            for t in scenario.grid():
-                rel = relative_state(traj, scenario.observer, t)
-                theta = np.arctan2(rel.position[0], rel.position[1])
-                value = abs(np.cos(theta) * rel.position[0]
-                            - np.sin(theta) * rel.position[1])
-                worst = max(worst, value / rel.range)
+            rel = relative_state(traj, scenario.observer, scenario.grid())
+            x, y = rel.position[:, 0], rel.position[:, 1]
+            theta = np.arctan2(x, y)
+            value = np.abs(np.cos(theta) * x - np.sin(theta) * y)
+            worst = max(worst, float(np.max(value / rel.range)))
     return worst
 
 

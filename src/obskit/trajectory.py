@@ -88,6 +88,10 @@ class PolynomialTrajectory:
             p -= 1
         return p
 
+    def to_dict(self) -> dict:
+        return {"type": "polynomial", "ref_time": self.ref_time,
+                "coeffs": [list(c) for c in self.coeffs]}
+
 
 @dataclass(frozen=True, eq=False)
 class RelativeState:
@@ -130,6 +134,10 @@ class SampledTrajectory:
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "positions", positions)
+
+    def to_dict(self) -> dict:
+        return {"type": "sampled", "times": self.times.tolist(),
+                "positions": self.positions.tolist()}
 
 
 def relative_state(

@@ -192,6 +192,7 @@ COMMANDS = {
     ("observability", "rank-tol", "inf"),
     ("estimate", "rank-tol", "nan"),
     ("observability", "grid-points", "0"),
+    ("observability", "grid-points", "1000000000000000"),
 ])
 def test_bad_number_option_exits_one(tmp_path, capsys, command, option, value):
     csv = tmp_path / "candidate.csv"
@@ -238,3 +239,12 @@ def test_benchmark_traced_names_resolve(monkeypatch):
     for sites in spans.TRACED.values():
         for module_name, attr in sites:
             assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def test_numerical_overflow_exits_two(tmp_path, capsys):
+    """A loadable candidate whose squared range overflows is an analysis error."""
+    csv = tmp_path / "candidate.csv"
+    csv.write_text("t,x_m,y_m\n0.0,1e200,500.0\n1.0,510.0,500.0\n2.0,520.0,500.0\n")
+    argv = ["ambiguity", "verify", str(DOPPLER_BASE), str(csv), "--regime", "bearing"]
+    assert run_cli(argv) == 2
+    assert "analysis error: numerical overflow" in capsys.readouterr().err

@@ -8,11 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from obskit.ambiguity import (DopplerAmbiguitySpec, check_combined_condition,
+                              check_doppler_sufficiency, generate_doppler_ambiguous,
+                              verify_ambiguity)
 from obskit.errors import ParseError, ValidationError
+from obskit.estimator import estimate_initial_state
+from obskit.measurement import measure_scenario
+from obskit.observability import check_observable
 from obskit.scenario_io import (Scenario, TargetConfig, Tolerances, dumps_json,
                                 load_scenario, read_trajectory_csv, save_scenario,
                                 scenario_from_dict, scenario_to_dict,
                                 validate_scenario, write_trajectory_csv)
+from obskit.selftest import collinear_scenario, random_observer
 from obskit.trajectory import PolynomialTrajectory, SampledTrajectory
 
 MINIMAL = {
@@ -70,6 +77,14 @@ class TestLoadScenario:
         (lambda d: d["targets"][0].update(tonal_hz=-5.0), "targets[0].tonal_hz"),
         (lambda d: d["targets"][0].update(coeffs=[[1.0]]), "targets[0].coeffs[0]"),
         (lambda d: d.update(tolerances={"bogus": 1.0}), "tolerances"),
+        pytest.param(lambda d: d.update(observer=5), "observer", id="observer-number"),
+        pytest.param(lambda d: d.update(observer="coeffs"), "observer", id="observer-string"),
+        pytest.param(lambda d: d["time"].update(points=10**15), "time.points",
+                     id="time.points-over-cap"),
+        pytest.param(lambda d: d["time"].update(start=-1e308, end=1e308), "time.end",
+                     id="time.end-window-overflows"),
+        pytest.param(lambda d: d["targets"][0].update(coeffs=[[1e200, 0.0]]), "targets[0]",
+                     id="targets[0]-range-overflows"),
     ])
     def test_schema_violations_carry_field_path(self, tmp_path, mutate, field):
         data = json.loads(json.dumps(MINIMAL))
@@ -216,3 +231,43 @@ LEAVES = SCALARS | FLOAT_LISTS | FLOAT_ROWS | ARRAYS
     max_leaves=12))
 def test_dumps_json_matches_stdlib_reference(value):
     assert dumps_json(value) == json.dumps(ref(value), indent=2, allow_nan=False) + "\n"
+
+
+def test_report_keys_follow_field_order():
+    """The fields of each report are its JSON schema: pin the key order written today."""
+    scenario = collinear_scenario(np.random.default_rng(0))
+    report = check_observable(scenario)
+    assert report.collinearity_events
+    assert list(report.to_dict()) == [
+        "rank_decision", "sigma_ratio", "rank_tol", "singular_values", "null_space",
+        "per_target_sigma_ratios", "orders", "min_pairwise_separation", "argmin_pair",
+        "argmin_time", "collinearity_events", "gramian"]
+    assert list(report.to_dict()["collinearity_events"][0]) == [
+        "pair", "t_start", "t_end", "separation_min"]
+    estimate = estimate_initial_state(scenario.observer, measure_scenario(scenario),
+                                      list(scenario.effective_orders()))
+    assert list(estimate.to_dict()) == [
+        "uniqueness", "x_initial_hat", "residual_norm", "condition_number", "orders",
+        "singular_values", "null_space"]
+
+    observer = random_observer(np.random.default_rng(1), 2)
+    base = PolynomialTrajectory(0.0, ((900.0, 1200.0), (3.0, -2.0)))
+    grid = np.linspace(0.0, 2.0, 201)
+    spec = DopplerAmbiguitySpec(l_prime=1.0, b_prime=100.0, rotation=0.05)
+    generated = generate_doppler_ambiguous(base, observer, spec, grid)
+    certificate = verify_ambiguity(generated, base, observer, (800.0, 800.0), 1500.0, grid)
+    assert list(certificate.to_dict()) == [
+        "regime", "verdict", "residual_doppler", "residual_bearing", "tol_f", "tol_theta",
+        "tonals", "trajectory_i", "trajectory_j"]
+    assert list(generated.to_dict()) == ["type", "times", "positions"]
+    assert list(base.to_dict()) == ["type", "ref_time", "coeffs"]
+    assert list(check_combined_condition(generated, base, observer, spec, grid).to_dict()) == [
+        "combined_ambiguous", "eigenvector_condition_holds", "alpha_is_unity",
+        "max_eigen_residual", "max_alpha_deviation", "tol", "times", "alphas",
+        "eigen_residuals", "position_residuals"]
+    sufficiency = check_doppler_sufficiency(generated, base, observer, (800.0, 800.0),
+                                            1500.0, grid)
+    assert list(sufficiency.to_dict()) == [
+        "tonals_equal", "transform_is_identity", "ranges_equal", "all_conditions_hold",
+        "residual_doppler", "implication_holds", "max_transform_deviation",
+        "max_range_deviation", "tol", "tol_f"]
