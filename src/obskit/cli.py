@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +29,8 @@ from .estimator import UNIQUE, cross_validate, estimate_initial_state
 from .measurement import measure_scenario
 from .observability import check_observable, report_text
 from .scenario_io import (Scenario, _finite, dumps_json, load_scenario,
-                          read_trajectory_csv, validate_scenario,
-                          write_measurements_csv, write_trajectory_csv)
+                          read_trajectory_csv, write_measurements_csv,
+                          write_trajectory_csv)
 
 
 def _check_numbers(args: argparse.Namespace) -> None:
@@ -44,11 +43,7 @@ def _check_numbers(args: argparse.Namespace) -> None:
 
 
 def _load(args: argparse.Namespace) -> Scenario:
-    scenario = load_scenario(args.scenario)
-    if getattr(args, "grid_points", None) is not None:
-        scenario = replace(scenario, grid_points=args.grid_points)
-        validate_scenario(scenario)
-    return scenario
+    return load_scenario(args.scenario, getattr(args, "grid_points", None))
 
 
 def _emit_json(text: str, output: str | None) -> None:

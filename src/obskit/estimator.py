@@ -20,7 +20,7 @@ from .errors import DegenerateSystem
 from .measurement import (MeasurementHistory, angular_difference, bearing,
                           design_matrix, measure_scenario)
 from .scenario_io import Scenario, Tolerances, fields_dict
-from .trajectory import PolynomialTrajectory, relative_state, trajectory_from_state
+from .trajectory import PolynomialTrajectory, relative_states, trajectory_from_state
 
 UNIQUE = "unique"
 DEGENERATE = "degenerate"
@@ -154,10 +154,8 @@ def cross_validate(scenario: Scenario, result: EstimateResult,
     if state is None:
         state = result.x_initial_hat
     truth = measure_scenario(scenario)
-    eps = scenario.tolerances.eps_range
-    worst = 0.0
-    for i, part in enumerate(split_state(np.asarray(state, dtype=float), result.orders)):
-        traj = trajectory_from_state(part, ref_time=scenario.t_start)
-        replayed = bearing(relative_state(traj, scenario.observer, truth.times, eps))
-        worst = max(worst, float(np.max(angular_difference(replayed, truth.bearings[i]))))
-    return worst
+    trajectories = [trajectory_from_state(part, ref_time=scenario.t_start) for part in
+                    split_state(np.asarray(state, dtype=float), result.orders)]
+    replayed = bearing(relative_states(trajectories, scenario.observer, truth.times,
+                                       scenario.tolerances.eps_range))
+    return float(np.max(angular_difference(replayed, truth.bearings)))

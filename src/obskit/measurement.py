@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ZeroRange
-from .trajectory import RelativeState, relative_state
+from .trajectory import RelativeState, relative_states
 
 if TYPE_CHECKING:
     from .scenario_io import Scenario
@@ -145,26 +145,28 @@ def design_matrix(thetas: np.ndarray, times: np.ndarray, t0: float, p: int) -> n
 def measure_scenario(scenario: "Scenario") -> MeasurementHistory:
     """Evaluate bearings (and Doppler where a tonal exists) over the scenario grid.
 
+    One ``relative_states`` pass gives every target's kinematics; bearings
+    are one expression over the (M, N) positions and Doppler one expression
+    over the range rates of the targets with a tonal.
+
     Raises:
         ZeroRange: With the offending target index and first offending time
             if any target meets the observer.
     """
     times = scenario.grid()
-    eps = scenario.tolerances.eps_range
-    bearings = np.zeros((len(scenario.targets), len(times)))
-    dopplers: list[np.ndarray | None] = []
-    for i, target in enumerate(scenario.targets):
-        try:
-            rel = relative_state(target.trajectory, scenario.observer, times, eps)
-        except ZeroRange as exc:
-            raise ZeroRange(
-                f"target {i} coincides with observer at t={exc.time}",
-                target_index=i, time=exc.time,
-            ) from exc
-        bearings[i] = bearing(rel)
-        dopplers.append(
-            None if target.tonal is None else doppler(target.tonal, rel, scenario.c))
-    return MeasurementHistory(times=times, bearings=bearings, dopplers=tuple(dopplers))
+    try:
+        rel = relative_states(scenario.target_trajectories(), scenario.observer, times,
+                              scenario.tolerances.eps_range)
+    except ZeroRange as exc:
+        raise ZeroRange(
+            f"target {exc.target_index} coincides with observer at t={exc.time}",
+            target_index=exc.target_index, time=exc.time,
+        ) from exc
+    rows = [i for i, target in enumerate(scenario.targets) if target.tonal is not None]
+    f0 = np.array([scenario.targets[i].tonal.f0 for i in rows])[:, np.newaxis]
+    shifted = dict(zip(rows, f0 * (1.0 - rel.range_rate[rows] / scenario.c)))
+    dopplers = tuple(shifted.get(i) for i in range(len(scenario.targets)))
+    return MeasurementHistory(times=times, bearings=bearing(rel), dopplers=dopplers)
 
 
 def angular_difference(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ParseError, ValidationError, ZeroRange
 from .measurement import DEFAULT_SOUND_SPEED, MeasurementHistory, Tonal
 from .trajectory import (DEFAULT_EPS_RANGE, PolynomialTrajectory, SampledTrajectory,
-                         relative_state)
+                         relative_states)
 
 # Largest accepted time grid; it bounds the memory of every grid-sized array.
 MAX_GRID_POINTS = 1_000_000
@@ -99,8 +99,8 @@ class Scenario:
         return tuple(t.trajectory for t in self.targets)
 
 
-def validate_scenario(scenario: Scenario) -> None:
-    """Check every scenario invariant; raise ValidationError with a field path."""
+def _check_fields(scenario: Scenario) -> None:
+    """The invariants of the window, grid size, propagation speed and target list."""
     if not scenario.t_end > scenario.t_start:
         raise ValidationError("time.end", f"must exceed time.start ({scenario.t_start})")
     if not math.isfinite(scenario.t_end - scenario.t_start):
@@ -114,20 +114,37 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ValidationError("c", f"must be > 0 m/s, got {scenario.c}")
     if not scenario.targets:
         raise ValidationError("targets", "at least one target is required")
+
+
+def validate_scenario(scenario: Scenario) -> None:
+    """Check every scenario invariant; raise ValidationError with a field path.
+
+    The kinematic check evaluates all targets in one ``relative_states``
+    pass and names the first target, in index order, that meets the
+    observer or whose range or range rate overflows.
+    """
+    _check_fields(scenario)
+    trajectories = scenario.target_trajectories()
     eps = scenario.tolerances.eps_range
     times = scenario.grid()
+    zero = None
     # Overflow shows as a non-finite range or range rate, checked below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, target in enumerate(scenario.targets):
-            try:
-                state = relative_state(target.trajectory, scenario.observer, times, eps)
-            except ZeroRange as exc:
-                raise ValidationError(
-                    f"targets[{i}]", f"coincides with the observer at t={exc.time}"
-                ) from None
-            if not (np.isfinite(state.range).all() and np.isfinite(state.range_rate).all()):
-                raise ValidationError(
-                    f"targets[{i}]", "range or range rate overflows a float on the time grid")
+        try:
+            state = relative_states(trajectories, scenario.observer, times, eps)
+        except ZeroRange as exc:
+            # A target before the first one at zero range may overflow; it comes first.
+            zero, before = exc, trajectories[:exc.target_index]
+            state = relative_states(before, scenario.observer, times, eps) if before else None
+    if state is not None:
+        overflows = np.flatnonzero(
+            ~(np.isfinite(state.range) & np.isfinite(state.range_rate)).all(axis=1))
+        if overflows.size:
+            raise ValidationError(f"targets[{overflows[0]}]",
+                                  "range or range rate overflows a float on the time grid")
+    if zero is not None:
+        raise ValidationError(f"targets[{zero.target_index}]",
+                              f"coincides with the observer at t={zero.time}")
 
 
 def _require(mapping: dict, key: str, path: str) -> Any:
@@ -161,8 +178,13 @@ def _coeffs_from_json(raw: Any, path: str) -> tuple[tuple[float, float], ...]:
     return tuple(coeffs)
 
 
-def scenario_from_dict(data: dict) -> Scenario:
-    """Build and validate a Scenario from parsed JSON data."""
+def scenario_from_dict(data: dict, grid_points: int | None = None) -> Scenario:
+    """Build and validate a Scenario from parsed JSON data.
+
+    ``grid_points``, if given, replaces ``time.points`` after the file's own
+    fields are checked, so the kinematic check runs once, on the grid that
+    is analysed.
+    """
     if not isinstance(data, dict):
         raise ValidationError("", "scenario file must contain a JSON object")
     time_block = _require(data, "time", "")
@@ -216,12 +238,15 @@ def scenario_from_dict(data: dict) -> Scenario:
         observer=observer, targets=tuple(targets), t_start=t_start, t_end=t_end,
         grid_points=points, c=c, tolerances=tolerances,
     )
+    if grid_points is not None:
+        _check_fields(scenario)
+        scenario = replace(scenario, grid_points=grid_points)
     validate_scenario(scenario)
     return scenario
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Load and validate a scenario JSON file.
+def load_scenario(path: str | Path, grid_points: int | None = None) -> Scenario:
+    """Load and validate a scenario JSON file; see ``scenario_from_dict``.
 
     Raises:
         ParseError: Unreadable file or malformed JSON.
@@ -235,7 +260,7 @@ def load_scenario(path: str | Path) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(data, grid_points)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

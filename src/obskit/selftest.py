@@ -19,7 +19,7 @@ from .measurement import DEFAULT_SOUND_SPEED, measure_scenario
 from .observability import OBSERVABLE, check_observable
 from .scenario_io import Scenario, TargetConfig
 from .trajectory import (PolynomialTrajectory, propagate_ode, relative_state,
-                         state_from_trajectory, transition_matrix)
+                         relative_states, state_from_trajectory, transition_matrix)
 
 # Magnitude of the k-th polynomial coefficient of random trajectories.
 # Velocity/acceleration/jerk scales keep observer maneuvers strong relative
@@ -234,12 +234,12 @@ def pseudo_linear_suite(rng: np.random.Generator, scenarios: int = 20) -> float:
     worst = 0.0
     for _ in range(scenarios):
         scenario = random_scenario(rng)
-        for traj in scenario.target_trajectories():
-            rel = relative_state(traj, scenario.observer, scenario.grid())
-            x, y = rel.position[:, 0], rel.position[:, 1]
-            theta = np.arctan2(x, y)
-            value = np.abs(np.cos(theta) * x - np.sin(theta) * y)
-            worst = max(worst, float(np.max(value / rel.range)))
+        rel = relative_states(scenario.target_trajectories(), scenario.observer,
+                              scenario.grid())
+        x, y = rel.position[..., 0], rel.position[..., 1]
+        theta = np.arctan2(x, y)
+        value = np.abs(np.cos(theta) * x - np.sin(theta) * y)
+        worst = max(worst, float(np.max(value / rel.range)))
     return worst
 
 

@@ -1,9 +1,11 @@
 """Planar polynomial trajectories, relative kinematics, and state transition matrices.
 
-``PolynomialTrajectory.eval`` and ``relative_state`` are the grid kernel:
+``PolynomialTrajectory.eval`` and ``relative_states`` are the grid kernel:
 each takes a scalar time or a 1-D array of times, and the scalar case is the
 0-d case of the same arithmetic, so a grid evaluation equals the per-time
-evaluations bit for bit.
+evaluations bit for bit. ``relative_states`` evaluates all M targets in one
+pass over stacked (M, N) arrays, and each row equals that target's own
+evaluation bit for bit; ``relative_state`` is its one-target case.
 
 A trajectory is a polynomial in time about a reference instant,
 ``pos(t) = sum_k a_k (t - ref_time)^k`` with 2-vector coefficients ``a_k``.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from typing import Sequence
 
 import numpy as np
 
@@ -140,35 +143,88 @@ class SampledTrajectory:
                 "positions": self.positions.tolist()}
 
 
+def relative_states(
+    trajectories: Sequence[PolynomialTrajectory],
+    observer: PolynomialTrajectory,
+    t: float | np.ndarray,
+    eps_range: float = DEFAULT_EPS_RANGE,
+) -> RelativeState:
+    """Relative kinematics of M targets against one observer, in one array pass.
+
+    ``t`` is a scalar time or a 1-D array of N times; position and velocity
+    are (M, 2) or (M, N, 2), range and range_rate (M,) or (M, N). Row i is
+    ``target.eval(t, 0) - observer.eval(t, 0)`` (and likewise for the first
+    derivative) with the powers of ``eval``: rows are processed in order of
+    decreasing polynomial order, and the term k loop covers only the rows
+    whose order reaches k, so a low-order row never forms a power its own
+    evaluation would not. Range and range rate are written out per
+    component rather than through ``np.linalg.norm`` or ``@``, so both
+    forms round identically.
+
+    Raises:
+        ZeroRange: If a separation is below ``eps_range`` (range rate and
+            bearing are undefined there); ``target_index`` is the first such
+            target and ``time`` its first such time.
+    """
+    times = np.asarray(t, dtype=float)
+    # The observer is evaluated as the last row of the same stack.
+    stack = (*trajectories, observer)
+    orders = [traj.order for traj in stack]
+    top = max(orders)
+    rows = sorted(range(len(stack)), key=lambda i: -orders[i])
+    # Work arrays put the x/y axis first, so every operation runs along the times.
+    # Coefficients are zero-padded to one column past the top order, so that
+    # term k + 1 can be sliced at every k.
+    coeffs = np.array([stack[i].coeffs + ((0.0, 0.0),) * (top + 1 - orders[i])
+                       for i in rows]).T.reshape((2, top + 2, len(rows)) + (1,) * times.ndim)
+    ref = np.array([stack[i].ref_time for i in rows])
+    dt = times[np.newaxis] - ref.reshape((-1,) + (1,) * times.ndim)
+    reach = [sum(p >= k for p in orders) for k in range(top + 2)]
+    position = np.zeros((2,) + dt.shape)
+    velocity = np.zeros((2,) + dt.shape)
+    power = np.ones_like(dt)
+    for k, (n, m) in enumerate(zip(reach, reach[1:])):
+        # power is dt^k: term k of the position, term k + 1 of the velocity.
+        position[:, :n] += power[:n] * coeffs[:, k, :n]
+        velocity[:, :m] += ((k + 1) * power[:m]) * coeffs[:, k + 1, :m]
+        power[:n] *= dt[:n]
+    back = np.argsort(rows)
+    targets, own = back[:-1], back[-1:]
+    position = position[:, targets] - position[:, own]
+    velocity = velocity[:, targets] - velocity[:, own]
+    x, y = position
+    rng = np.sqrt(x * x + y * y)
+    below = rng < eps_range
+    if np.any(below):
+        i = int(np.argmax(below.reshape(len(trajectories), -1).any(axis=1)))
+        first = float(times[below[i]][0])
+        closest = float(np.asarray(rng[i])[below[i]][0])
+        raise ZeroRange(
+            f"target coincides with observer at t={first} (range {closest:.3e} m)",
+            target_index=i, time=first)
+    rate = (velocity[0] * x + velocity[1] * y) / rng
+    return RelativeState(position=np.moveaxis(position, 0, -1),
+                         velocity=np.moveaxis(velocity, 0, -1), range=rng, range_rate=rate)
+
+
 def relative_state(
     target: PolynomialTrajectory,
     observer: PolynomialTrajectory,
     t: float | np.ndarray,
     eps_range: float = DEFAULT_EPS_RANGE,
 ) -> RelativeState:
-    """Relative position/velocity, range, and range rate of target vs observer.
+    """Relative position/velocity, range, and range rate of one target vs observer.
 
-    ``t`` is a scalar time or a 1-D array of times (see ``RelativeState``).
-    Range and range rate are written out per component rather than through
-    ``np.linalg.norm`` or ``@``, so both forms round identically.
+    The one-target case of ``relative_states``; ``t`` is a scalar time or a
+    1-D array of times (see ``RelativeState``).
 
     Raises:
         ZeroRange: If the separation is below ``eps_range`` (range rate and
             bearing are undefined there); ``time`` is the first such time.
     """
-    position = target.eval(t, 0) - observer.eval(t, 0)
-    velocity = target.eval(t, 1) - observer.eval(t, 1)
-    x, y = position[..., 0], position[..., 1]
-    rng = np.sqrt(x * x + y * y)
-    below = rng < eps_range
-    if np.any(below):
-        first = float(np.asarray(t, dtype=float)[below][0])
-        closest = float(np.asarray(rng)[below][0])
-        raise ZeroRange(
-            f"target coincides with observer at t={first} (range {closest:.3e} m)",
-            time=first)
-    rate = (velocity[..., 0] * x + velocity[..., 1] * y) / rng
-    return RelativeState(position=position, velocity=velocity, range=rng, range_rate=rate)
+    state = relative_states((target,), observer, t, eps_range)
+    return RelativeState(position=state.position[0], velocity=state.velocity[0],
+                         range=state.range[0], range_rate=state.range_rate[0])
 
 
 def transition_matrix(p: int, t: float, t_i: float) -> np.ndarray:

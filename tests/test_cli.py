@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from obskit import scenario_io
 from obskit.cli import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,6 +31,45 @@ class TestSimulate:
     def test_missing_file_exits_one(self, capsys):
         assert run_cli(["simulate", "no-such-file.json"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestGridPointsOverride:
+    # The target crosses the static observer at t = 5, a node of the file's
+    # 11-point grid but not of a 4-point grid.
+    CROSSING = {"observer": {"coeffs": [[0.0, 0.0]]},
+                "targets": [{"coeffs": [[-50.0, 0.0], [10.0, 0.0]]}],
+                "time": {"start": 0.0, "end": 10.0, "points": 11}}
+    MEETS = "error: targets[0]: coincides with the observer at t=5.0"
+
+    def test_kinematics_checked_once_on_the_analysed_grid(self, tmp_path, monkeypatch,
+                                                          capsys):
+        path = tmp_path / "crossing.json"
+        path.write_text(json.dumps(self.CROSSING))
+        assert run_cli(["simulate", str(path)]) == 1
+        assert self.MEETS in capsys.readouterr().err
+        calls = []
+        real = scenario_io.relative_states
+        monkeypatch.setattr(scenario_io, "relative_states",
+                            lambda *args: calls.append(len(args[2])) or real(*args))
+        assert run_cli(["simulate", str(path), "--grid-points", "4"]) == 0
+        assert calls == [4]
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+
+    def test_override_grid_meeting_the_observer_rejected(self, tmp_path, capsys):
+        path = tmp_path / "crossing.json"
+        path.write_text(json.dumps(dict(self.CROSSING, time={"start": 0.0, "end": 10.0,
+                                                            "points": 4})))
+        assert run_cli(["simulate", str(path)]) == 0
+        capsys.readouterr()
+        assert run_cli(["simulate", str(path), "--grid-points", "11"]) == 1
+        assert self.MEETS in capsys.readouterr().err
+
+    def test_file_fields_still_checked(self, tmp_path, capsys):
+        path = tmp_path / "one_point.json"
+        path.write_text(json.dumps(dict(self.CROSSING, time={"start": 0.0, "end": 10.0,
+                                                            "points": 1})))
+        assert run_cli(["simulate", str(path), "--grid-points", "4"]) == 1
+        assert "error: time.points: must be >= 2, got 1" in capsys.readouterr().err
 
 
 class TestObservability:

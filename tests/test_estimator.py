@@ -6,11 +6,14 @@ import pytest
 from obskit.errors import DegenerateSystem
 from obskit.estimator import (DEGENERATE, UNIQUE, cross_validate,
                               estimate_initial_state, split_state)
-from obskit.measurement import MeasurementHistory, measure_scenario
+from obskit.measurement import (MeasurementHistory, angular_difference, measure_scenario,
+                                wrap_angle)
 from obskit.observability import OBSERVABLE, check_observable
 from obskit.scenario_io import Scenario, TargetConfig
-from obskit.selftest import collinear_scenario, random_rank_scenario_conditioned
-from obskit.trajectory import PolynomialTrajectory, state_from_trajectory
+from obskit.selftest import (collinear_scenario, random_rank_scenario,
+                             random_rank_scenario_conditioned)
+from obskit.trajectory import (PolynomialTrajectory, state_from_trajectory,
+                               trajectory_from_state)
 
 
 def maneuvering_static_target_scenario():
@@ -104,6 +107,26 @@ class TestCrossValidate:
         result = estimate(scenario)
         corrupted = result.x_initial_hat + np.array([0.0, 25.0])
         assert cross_validate(scenario, result, state=corrupted) > 1e-4
+
+    def test_replay_equals_per_target_loop(self):
+        # An unobservable draw whose replayed targets have mixed orders, probed
+        # along its null direction; the oracle replays one target at a time.
+        rng = np.random.default_rng(6)
+        while True:
+            scenario = random_rank_scenario(rng)
+            result = estimate(scenario)
+            if result.uniqueness == DEGENERATE and len(set(result.orders)) > 1:
+                break
+        state = result.x_initial_hat + result.null_space
+        truth = measure_scenario(scenario)
+        expected = 0.0
+        for i, part in enumerate(split_state(state, result.orders)):
+            traj = trajectory_from_state(part, ref_time=scenario.t_start)
+            position = traj.eval(truth.times) - scenario.observer.eval(truth.times)
+            replayed = wrap_angle(np.arctan2(position[:, 0], position[:, 1]))
+            expected = max(expected, float(np.max(
+                angular_difference(replayed, truth.bearings[i]))))
+        assert cross_validate(scenario, result, state=state) == expected
 
     def test_split_state_round_trip(self):
         state = np.arange(8.0)

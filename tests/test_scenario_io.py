@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from obskit.ambiguity import (DopplerAmbiguitySpec, check_combined_condition,
                               check_doppler_sufficiency, generate_doppler_ambiguous,
                               verify_ambiguity)
-from obskit.errors import ParseError, ValidationError
+from obskit.errors import ParseError, ValidationError, ZeroRange
 from obskit.estimator import estimate_initial_state
 from obskit.measurement import measure_scenario
 from obskit.observability import check_observable
@@ -99,6 +99,28 @@ class TestLoadScenario:
             load_scenario(write(tmp_path, bad))
         assert excinfo.value.field == "targets[0]"
 
+    # Window 0...1e160 on 3 points: dt^2 overflows, dt does not. A target is
+    # evaluated only up to its own order, so the order-0 target stays finite
+    # and the first faulty target in index order is the one named.
+    @pytest.mark.parametrize("targets,message", [
+        pytest.param([[[500, 0]], [[0, 500], [0, 0], [1, 1]]],
+                     "targets[1]: range or range rate overflows a float on the time grid",
+                     id="low-order-target-before-overflow"),
+        pytest.param([[[0, 0], [1, 0]], [[0, 500], [0, 0], [1, 1]]],
+                     "targets[0]: coincides with the observer at t=0.0",
+                     id="zero-range-before-overflow"),
+        pytest.param([[[0, 500], [0, 0], [1, 1]], [[0, 0], [1, 0]]],
+                     "targets[0]: range or range rate overflows a float on the time grid",
+                     id="overflow-before-zero-range"),
+    ])
+    def test_first_faulty_target_named(self, targets, message):
+        data = {"observer": {"coeffs": [[0.0, 0.0]]},
+                "targets": [{"coeffs": coeffs} for coeffs in targets],
+                "time": {"start": 0.0, "end": 1e160, "points": 3}}
+        with pytest.raises(ValidationError) as excinfo:
+            scenario_from_dict(data)
+        assert str(excinfo.value) == message
+
     def test_tolerance_overrides_respected(self, tmp_path):
         data = dict(MINIMAL, tolerances={"rank_tol": 1e-6, "tol_f": 0.5})
         scenario = load_scenario(write(tmp_path, data))
@@ -144,6 +166,22 @@ class TestValidateScenario:
         )
         with pytest.raises(ValidationError):
             validate_scenario(scenario)
+
+    def test_measure_zero_range_names_target_and_time(self):
+        # Target 1 (order 0) sits on the path of the order-1 observer at t = 5;
+        # target 0 has a higher order, so the stacked rows are reordered.
+        scenario = Scenario(
+            observer=PolynomialTrajectory(0.0, ((0.0, 0.0), (10.0, 0.0))),
+            targets=(TargetConfig(PolynomialTrajectory(0.0, ((0.0, 80.0), (1.0, 0.0),
+                                                             (0.0, 1.0)))),
+                     TargetConfig(PolynomialTrajectory(0.0, ((50.0, 0.0),)))),
+            t_start=0.0, t_end=10.0, grid_points=11,
+        )
+        with pytest.raises(ZeroRange) as excinfo:
+            measure_scenario(scenario)
+        assert excinfo.value.target_index == 1
+        assert excinfo.value.time == 5.0
+        assert str(excinfo.value) == "target 1 coincides with observer at t=5.0"
 
     def test_grid_is_uniform(self):
         scenario = Scenario(

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obskit.errors import ZeroRange
+from obskit.selftest import random_scenario
 from obskit.trajectory import (PolynomialTrajectory, SampledTrajectory, propagate_ode,
-                               relative_state, state_from_trajectory,
+                               relative_state, relative_states, state_from_trajectory,
                                trajectory_from_state, transition_matrix)
 
 
@@ -125,6 +126,50 @@ class TestRelativeState:
         with pytest.raises(ZeroRange) as excinfo:
             relative_state(target, observer, times)
         assert excinfo.value.time == 4.0
+
+
+def reference_relative_state(target, observer, t):
+    """One target's relative kinematics from ``eval``, written out per component."""
+    position = target.eval(t, 0) - observer.eval(t, 0)
+    velocity = target.eval(t, 1) - observer.eval(t, 1)
+    x, y = position[..., 0], position[..., 1]
+    rng = np.sqrt(x * x + y * y)
+    rate = (velocity[..., 0] * x + velocity[..., 1] * y) / rng
+    return {"position": position, "velocity": velocity, "range": rng, "range_rate": rate}
+
+
+class TestRelativeStates:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 32]),
+           st.sampled_from([2, 121, 1001]), st.integers(0, 3))
+    def test_rows_equal_per_target_evaluation(self, seed, m, n, observer_order):
+        # Target orders 0-3, mixed and not padded to a common order.
+        rng = np.random.default_rng(seed)
+        scenario = random_scenario(rng, m_targets=m, target_order_max=3,
+                                   observer_order=observer_order, grid_points=n)
+        trajectories = scenario.target_trajectories()
+        times = scenario.grid()
+        for t in (times, float(times[rng.integers(n)])):
+            stacked = relative_states(trajectories, scenario.observer, t)
+            for i, target in enumerate(trajectories):
+                single = relative_state(target, scenario.observer, t)
+                for field, value in reference_relative_state(
+                        target, scenario.observer, t).items():
+                    assert np.array_equal(getattr(stacked, field)[i], value), field
+                    assert np.array_equal(getattr(single, field), value), field
+                    assert np.shape(getattr(single, field)) == np.shape(value), field
+
+    def test_zero_range_names_first_target_in_index_order(self):
+        # Target 2 (order 2) meets the observer at t = 3, target 1 (order 0) at
+        # t = 6; the stack evaluates target 2 first, yet target 1 is reported.
+        observer = PolynomialTrajectory(0.0, ((0.0, 0.0), (10.0, 0.0)))
+        targets = (PolynomialTrajectory(0.0, ((0.0, 100.0),)),
+                   PolynomialTrajectory(0.0, ((60.0, 0.0),)),
+                   PolynomialTrajectory(0.0, ((-39.0, 0.0), (20.0, 0.0), (1.0, 0.0))))
+        times = np.linspace(0.0, 10.0, 11)
+        with pytest.raises(ZeroRange) as excinfo:
+            relative_states(targets, observer, times)
+        assert (excinfo.value.target_index, excinfo.value.time) == (1, 6.0)
 
 
 class TestTransitionMatrix:
