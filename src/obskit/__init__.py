@@ -5,7 +5,7 @@ from .ambiguity import (AmbiguityCertificate, CombinedConditionReport,
                         DopplerAmbiguitySpec, DopplerSufficiencyReport,
                         check_combined_condition, check_doppler_sufficiency,
                         generate_bearing_ambiguous, generate_doppler_ambiguous,
-                        ranges_match_relation, verify_ambiguity)
+                        verify_ambiguity)
 from .errors import (DegenerateSystem, NonPositiveAlpha, NonPositiveRange, ObskitError,
                      ParseError, ValidationError, ZeroRange)
 from .estimator import EstimateResult, cross_validate, estimate_initial_state
@@ -38,7 +38,7 @@ __all__ = [
     "design_matrix", "detect_collinearity", "doppler", "estimate_initial_state",
     "generate_bearing_ambiguous", "generate_doppler_ambiguous", "gramian",
     "load_scenario", "measure_scenario", "propagate_ode", "pseudo_row",
-    "ranges_match_relation", "read_trajectory_csv", "relative_state", "report_text",
+    "read_trajectory_csv", "relative_state", "report_text",
     "save_scenario", "scenario_from_dict", "scenario_to_dict", "separation_mod_pi",
     "state_from_trajectory", "trajectory_from_state", "transition_matrix",
     "validate_scenario", "verify_ambiguity", "wrap_angle", "write_measurements_csv",

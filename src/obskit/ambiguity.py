@@ -438,22 +438,3 @@ def check_doppler_sufficiency(
         tol_f=tol_f,
     )
 
-
-def ranges_match_relation(
-    generated: SampledTrajectory,
-    base: PolynomialTrajectory,
-    observer: PolynomialTrajectory,
-    spec: DopplerAmbiguitySpec,
-    eps_range: float = DEFAULT_EPS_RANGE,
-) -> float:
-    """Max relative gap between the generated geometry's ranges and the range relation.
-
-    Round-trip check of the generator: measures the counterpart's ranges
-    from its positions and compares with l' s_j + b' + c (1 - l') (t - t_i).
-    """
-    times = generated.times
-    _, s_j, _ = _relative_series(base, observer, times, eps_range)
-    _, s_i, _ = _relative_series(generated, observer, times, eps_range)
-    predicted = spec.l_prime * s_j + spec.b_prime + spec.c * (1.0 - spec.l_prime) * (
-        times - times[0])
-    return float(np.max(np.abs(s_i - predicted) / predicted))

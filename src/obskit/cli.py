@@ -7,7 +7,8 @@ Subcommands:
     estimate       Recover the initial super state from bearings (JSON).
     selftest       Run the randomized self-check suites.
 
-Exit codes: 0 success, 1 validation/input error, 2 analysis error
+Exit codes: 0 success, 1 validation/input error or an output path that
+cannot be written, 2 analysis error
 (zero range, infeasible ambiguity parameters, degenerate system, floating
 point overflow on extreme inputs).
 """
@@ -40,6 +41,8 @@ def _check_numbers(args: argparse.Namespace) -> None:
         if getattr(args, dest, None) is not None:
             _finite(getattr(args, dest), "--" + dest.replace("_", "-"),
                     positive=dest in ("rank_tol", "l_prime", "tonal_i"))
+    if getattr(args, "seed", 0) < 0:
+        raise ValidationError("--seed", f"must be >= 0, got {args.seed}")
 
 
 def _load(args: argparse.Namespace) -> Scenario:
@@ -246,7 +249,7 @@ def run_cli(argv: list[str]) -> int:
         # Overflow on inputs the loaders accept becomes an analysis error, not NaN output.
         with np.errstate(all="raise", under="ignore"):
             return args.func(args)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ZeroRange, NonPositiveRange, NonPositiveAlpha, DegenerateSystem) as exc:

@@ -1,16 +1,18 @@
-"""Observability analysis: quadrature Gramian, spectral rank test, and
-bearing-geometry diagnostics (pairwise separation modulo pi, collinearity).
+"""Observability analysis: one factorisation per target, spectral rank test,
+and bearing-geometry diagnostics (pairwise separation modulo pi, collinearity).
 
 All of it comes from one measurement pass over the scenario grid. The
-Gramian integrates Phi^T C^T C Phi over the window with quadrature weights
-on that grid; the system is declared observable when the ratio of its extreme
-singular values exceeds ``rank_tol``. C places each target's pseudo-linear
-bearing row in its own block, so the Gramian is block-diagonal: block i is
-A_i^T W A_i, with A_i the target's design matrix on the grid and W the
-diagonal of quadrature weights. Per-target block conditioning is reported.
-The geometric criterion (all bearings distinct modulo pi) is reported as a
-separate diagnostic: it does not capture single-target unobservability and
-is therefore never folded into the rank decision.
+Gramian integrates Phi^T C^T C Phi over the window with quadrature weights W
+on that grid. C places each target's pseudo-linear bearing row in its own
+block, so the Gramian is block-diagonal: block i is A_i^T W A_i, with A_i the
+target's design matrix on the grid. It is held as the SVD of each sqrt(W) A_i,
+and ``rank_test`` turns those factors into the one verdict that both
+``check_observable`` and ``estimator.estimate_initial_state`` use: observable
+when the ratio of the extreme squared singular values exceeds ``rank_tol``.
+Per-target block conditioning is reported. The geometric criterion (all
+bearings distinct modulo pi) is a separate diagnostic: it does not capture
+single-target unobservability and is therefore never folded into the rank
+decision.
 """
 
 from __future__ import annotations
@@ -45,16 +47,19 @@ class ObservabilityReport:
         rank_decision: "observable" when sigma_min/sigma_max > rank_tol.
         sigma_ratio: sigma_min / sigma_max (0 for a zero Gramian).
         rank_tol: Threshold the decision was made at.
-        singular_values: Descending singular values of the Gramian.
+        singular_values: Descending singular values of the Gramian, the
+            squared singular values of every target's sqrt(W) A_i.
         null_space: Unit direction invisible to the measurements when
-            unobservable (right singular vector of sigma_min), else None.
+            unobservable (right singular vector of sigma_min in the weakest
+            target's block, embedded in the 2s space), else None.
         per_target_sigma_ratios: Conditioning of each target's own block.
         orders: Per-target polynomial orders the Gramian was built with.
         min_pairwise_separation: Minimum over time and pairs of the bearing
             distance modulo pi; None for single-target scenarios.
         argmin_pair / argmin_time: Where that minimum is attained.
         collinearity_events: Maximal subintervals below collinearity_tol.
-        gramian: 2s x 2s symmetric PSD matrix.
+        gramian: Per-target diagonal blocks A_i^T W A_i of the Gramian; the
+            off-diagonal blocks are zero by construction.
     """
 
     rank_decision: str
@@ -68,7 +73,7 @@ class ObservabilityReport:
     argmin_pair: tuple[int, int] | None
     argmin_time: float | None
     collinearity_events: tuple[CollinearityEvent, ...]
-    gramian: np.ndarray
+    gramian: tuple[np.ndarray, ...]
 
     to_dict = fields_dict
 
@@ -103,13 +108,31 @@ def _simpson_weights(nodes: int, h: float) -> np.ndarray:
     return w
 
 
-def gramian(history: MeasurementHistory, orders: Sequence[int]) -> np.ndarray:
-    """Quadrature approximation of the observability Gramian on the history's grid.
+@dataclass(frozen=True, eq=False)
+class Gramian:
+    """Block-diagonal observability Gramian, held as one SVD per target.
+
+    ``factors[i]`` is (u, s, vt) with u diag(s) vt = sqrt(W) A_i, W the
+    quadrature weights (``sqrt_weights ** 2``). s is descending with one entry
+    per unknown: on a grid with fewer nodes, it is zero-padded and vt square.
+    """
+
+    sqrt_weights: np.ndarray
+    factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Diagonal blocks A_i^T W A_i = vt^T diag(s^2) vt, symmetrized."""
+        blocks = [(vt.T * s ** 2) @ vt for _, s, vt in self.factors]
+        return tuple(0.5 * (block + block.T) for block in blocks)
+
+
+def gramian(history: MeasurementHistory, orders: Sequence[int]) -> Gramian:
+    """Quadrature observability Gramian on the history's grid, factorised per target.
 
     Integrates Phi^T C^T C Phi over the uniform grid of ``history`` with the
-    weights of ``_simpson_weights``: target i, of order ``orders[i]``, gives
-    the diagonal block A_i^T W A_i of its design matrix A_i. The result is
-    symmetrized as (G + G^T) / 2; a zero-length window gives a zero matrix.
+    weights W of ``_simpson_weights``: target i, of order ``orders[i]``, gives
+    the diagonal block A_i^T W A_i of its design matrix A_i, kept as the SVD of
+    sqrt(W) A_i. A zero-length window gives zero singular values.
 
     Raises:
         ValueError: For fewer than 2 grid nodes.
@@ -118,16 +141,45 @@ def gramian(history: MeasurementHistory, orders: Sequence[int]) -> np.ndarray:
     nodes = len(times)
     if nodes < 2:
         raise ValueError(f"the Gramian needs at least 2 grid nodes, got {nodes}")
-    weights = _simpson_weights(nodes, (times[-1] - times[0]) / (nodes - 1))
-    size = 2 * sum(p + 1 for p in orders)
-    G = np.zeros((size, size))
-    at = 0
+    sqrt_w = np.sqrt(_simpson_weights(nodes, (times[-1] - times[0]) / (nodes - 1)))
+    factors = []
     for thetas, p in zip(history.bearings, orders, strict=True):
-        A = design_matrix(thetas, times, times[0], p)
-        n = A.shape[1]
-        G[at:at + n, at:at + n] = A.T @ (weights[:, None] * A)
-        at += n
-    return 0.5 * (G + G.T)
+        missing = 2 * (p + 1) - nodes
+        u, s, vt = np.linalg.svd(sqrt_w[:, None] * design_matrix(thetas, times, times[0], p),
+                                 full_matrices=missing > 0)
+        if missing > 0:  # the thin SVD leaves out the zero singular values
+            s = np.concatenate([s, np.zeros(missing)])
+        factors.append((u, s, vt))
+    return Gramian(sqrt_weights=sqrt_w, factors=tuple(factors))
+
+
+@dataclass(frozen=True, eq=False)
+class RankTest:
+    """Rank decision of a ``Gramian``: observable when sigma_ratio > rank_tol."""
+
+    observable: bool
+    sigma_ratio: float  # min s^2 / max s^2 over all blocks, 0 for a zero Gramian
+    singular_values: np.ndarray  # every block's s, descending: those of the stacked sqrt(W) A
+    per_target_sigma_ratios: tuple[float, ...]  # min s^2 / max s^2 within each block
+    null_space: np.ndarray | None  # weakest block's last right singular vector, in 2s space
+
+
+def rank_test(g: Gramian, rank_tol: float) -> RankTest:
+    """The verdict ``check_observable`` reports and ``estimate_initial_state`` solves by.
+
+    The null direction, given only when not observable, belongs to the
+    smallest singular value (the first block on ties).
+    """
+    per_block = [s for _, s, _ in g.factors]
+    svals = np.sort(np.concatenate(per_block))[::-1]
+    ratio, *block_ratios = [float((s[-1] / s[0]) ** 2) if s[0] > 0 else 0.0
+                            for s in (svals, *per_block)]
+    null_space = None
+    if not ratio > rank_tol:
+        weakest = int(np.argmin([s[-1] for s in per_block]))
+        null_space = np.concatenate([vt[-1] if i == weakest else np.zeros(len(vt))
+                                     for i, (_, _, vt) in enumerate(g.factors)])
+    return RankTest(ratio > rank_tol, ratio, svals, tuple(block_ratios), null_space)
 
 
 def _partner_separations(history: MeasurementHistory) -> Iterator[tuple[int, np.ndarray]]:
@@ -190,18 +242,8 @@ def check_observable(scenario: Scenario, rank_tol: float | None = None) -> Obser
         rank_tol = scenario.tolerances.rank_tol
     orders = scenario.effective_orders()
     history = measure_scenario(scenario)
-    G = gramian(history, orders)
-    _, svals, vt = np.linalg.svd(G)
-    sigma_max = float(svals[0])
-    ratio = float(svals[-1] / sigma_max) if sigma_max > 0 else 0.0
-    observable = ratio > rank_tol
-    null_space = None if observable else vt[-1].copy()
-
-    edges = np.cumsum([0, *(2 * (p + 1) for p in orders)])
-    block_ratios = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        bs = np.linalg.svd(G[a:b, a:b], compute_uv=False)
-        block_ratios.append(float(bs[-1] / bs[0]) if bs[0] > 0 else 0.0)
+    factors = gramian(history, orders)
+    rank = rank_test(factors, rank_tol)
 
     min_sep = argmin_pair = argmin_time = None
     events: tuple[CollinearityEvent, ...] = ()
@@ -211,13 +253,13 @@ def check_observable(scenario: Scenario, rank_tol: float | None = None) -> Obser
             history, scenario.tolerances.collinearity_tol))
 
     return ObservabilityReport(
-        gramian=G,
-        singular_values=svals,
-        rank_decision=OBSERVABLE if observable else UNOBSERVABLE,
-        sigma_ratio=ratio,
+        gramian=factors.blocks(),
+        singular_values=rank.singular_values ** 2,
+        rank_decision=OBSERVABLE if rank.observable else UNOBSERVABLE,
+        sigma_ratio=rank.sigma_ratio,
         rank_tol=float(rank_tol),
-        null_space=null_space,
-        per_target_sigma_ratios=tuple(block_ratios),
+        null_space=rank.null_space,
+        per_target_sigma_ratios=rank.per_target_sigma_ratios,
         orders=orders,
         min_pairwise_separation=min_sep,
         argmin_pair=argmin_pair,

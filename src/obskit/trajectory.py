@@ -73,10 +73,6 @@ class PolynomialTrajectory:
             power = power * dt
         return out
 
-    def derivatives_at(self, t: float, order: int) -> np.ndarray:
-        """Raw-derivative state [x, y, xdot, ydot, ..., x^(order), y^(order)] at t."""
-        return np.concatenate([self.eval(t, k) for k in range(order + 1)])
-
     def padded(self, order: int) -> "PolynomialTrajectory":
         """Same trajectory with zero coefficients appended up to ``order``."""
         if order <= self.order:
@@ -286,12 +282,13 @@ def propagate_ode(x_initial: np.ndarray, t_i: float, t_f: float, steps: int) -> 
 
 def state_from_trajectory(traj: PolynomialTrajectory, t_i: float | None = None,
                           order: int | None = None) -> np.ndarray:
-    """Raw-derivative state vector of a trajectory at t_i (default: ref_time)."""
+    """Raw-derivative state [x, y, xdot, ydot, ..., x^(order), y^(order)] of a
+    trajectory at t_i (default: ref_time), up to ``order`` (default: its own)."""
     if t_i is None:
         t_i = traj.ref_time
     if order is None:
         order = traj.order
-    return traj.derivatives_at(t_i, order)
+    return np.concatenate([traj.eval(t_i, k) for k in range(order + 1)])
 
 
 def trajectory_from_state(state: np.ndarray, ref_time: float) -> PolynomialTrajectory:

@@ -7,13 +7,25 @@ from obskit.ambiguity import (AMBIGUOUS, BEARING, COMBINED, DISTINGUISHABLE, DOP
                               DopplerAmbiguitySpec, check_combined_condition,
                               check_doppler_sufficiency, default_doppler_tolerance,
                               generate_bearing_ambiguous, generate_doppler_ambiguous,
-                              ranges_match_relation, verify_ambiguity)
+                              verify_ambiguity)
 from obskit.errors import NonPositiveAlpha, NonPositiveRange
 from obskit.selftest import (random_alpha, random_doppler_spec, random_observer,
                              random_polynomial)
 from obskit.trajectory import PolynomialTrajectory, relative_state
 
 C_SOUND = 1500.0
+
+
+def ranges_match_relation(generated, base, observer, spec):
+    """Max relative gap between the generated geometry's ranges and the range
+    relation l' s_j + b' + c (1 - l') (t - t_i), with s_i measured from the
+    counterpart's positions."""
+    times = generated.times
+    s_j = relative_state(base, observer, times).range
+    s_i = np.linalg.norm(generated.positions - observer.eval(times), axis=1)
+    predicted = spec.l_prime * s_j + spec.b_prime + spec.c * (1.0 - spec.l_prime) * (
+        times - times[0])
+    return float(np.max(np.abs(s_i - predicted) / predicted))
 
 
 def base_geometry():

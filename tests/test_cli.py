@@ -212,6 +212,7 @@ COMMANDS = {
                        "--regime", "doppler", "-o", "{out}/cert.json"],
     "observability": ["observability", str(OBSERVABLE), "-o", "{out}/report.json"],
     "estimate": ["estimate", str(OBSERVABLE), "-o", "{out}/estimate.json"],
+    "selftest": ["selftest"],
 }
 
 
@@ -233,6 +234,7 @@ COMMANDS = {
     ("estimate", "rank-tol", "nan"),
     ("observability", "grid-points", "0"),
     ("observability", "grid-points", "1000000000000000"),
+    ("selftest", "seed", "-1"),
 ])
 def test_bad_number_option_exits_one(tmp_path, capsys, command, option, value):
     csv = tmp_path / "candidate.csv"
@@ -245,6 +247,20 @@ def test_bad_number_option_exits_one(tmp_path, capsys, command, option, value):
     field = "time.points" if option == "grid-points" else f"--{option}"
     assert f"error: {field}:" in capsys.readouterr().err
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["observability", str(OBSERVABLE), "-o", "{tmp}/missing_dir/r.json"],
+    ["simulate", str(OBSERVABLE), "-o", "{tmp}"],
+    ["ambiguity", "generate", str(DOPPLER_BASE), "--regime", "doppler",
+     "-o", "{tmp}/missing_dir/pair"],
+], ids=["missing-directory", "directory", "missing-prefix-directory"])
+def test_unwritable_output_exits_one(tmp_path, capsys, argv):
+    assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(tmp_path) in err
+    assert not (tmp_path / "missing_dir").exists()
 
 
 class TestMisc:

@@ -11,7 +11,7 @@ from obskit.measurement import (MeasurementHistory, angular_difference, measure_
 from obskit.observability import OBSERVABLE, check_observable
 from obskit.scenario_io import Scenario, TargetConfig
 from obskit.selftest import (collinear_scenario, random_rank_scenario,
-                             random_rank_scenario_conditioned)
+                             random_rank_scenario_conditioned, random_scenario)
 from obskit.trajectory import (PolynomialTrajectory, state_from_trajectory,
                                trajectory_from_state)
 
@@ -140,17 +140,26 @@ class TestCrossValidate:
 class TestVerdictConsistency:
     def test_uniqueness_matches_gramian_rank_decision(self):
         rng = np.random.default_rng(13)
-        agreements = 0
-        total = 0
-        while total < 40:
+        for _ in range(40):
             scenario = random_rank_scenario_conditioned(rng)
             report = check_observable(scenario)
             result = estimate(scenario)
-            unique = result.uniqueness == UNIQUE
-            observable = report.rank_decision == OBSERVABLE
-            agreements += int(unique == observable)
-            total += 1
-        assert agreements >= 0.99 * total
+            assert (result.uniqueness == UNIQUE) == (report.rank_decision == OBSERVABLE)
+
+    def test_verdicts_agree_just_below_rank_tol(self):
+        # Three targets of orders 0, 1 and 2 on a 22-point grid: the Gramian
+        # ratio, 9.3e-9, lies below rank_tol, while the squared singular-value
+        # ratio of the unweighted design matrices, 1.1e-8, lies above it.
+        rng = np.random.default_rng(3)
+        for _ in range(31):
+            scenario = random_scenario(rng, m_targets=3, target_order_max=2,
+                                       grid_points=int(rng.integers(2, 60)))
+        assert scenario.effective_orders() == (0, 1, 2)
+        report = check_observable(scenario)
+        result = estimate(scenario)
+        assert report.sigma_ratio < scenario.tolerances.rank_tol
+        assert (result.uniqueness == UNIQUE) == (report.rank_decision == OBSERVABLE)
+        assert result.condition_number * report.sigma_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_result_serializes(self):
         result = estimate(maneuvering_static_target_scenario())

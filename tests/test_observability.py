@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obskit.estimator import split_state
-from obskit.measurement import MeasurementHistory, measure_scenario, pseudo_row
+from obskit.errors import DegenerateSystem
+from obskit.estimator import estimate_initial_state, split_state
+from obskit.measurement import (MeasurementHistory, design_matrix, measure_scenario,
+                                pseudo_row)
 from obskit.observability import (OBSERVABLE, UNOBSERVABLE, CollinearityEvent,
                                   _simpson_weights, bearing_separation_mod_pi,
                                   check_observable, detect_collinearity, gramian,
@@ -50,11 +52,29 @@ class TestGramian:
         scenario = single_static_scenario()
         theta = np.arctan2(300.0, 400.0)
         v = np.array([np.cos(theta), -np.sin(theta)])
-        G = gramian(measure_scenario(scenario), scenario.effective_orders())
+        (G,) = gramian(measure_scenario(scenario), scenario.effective_orders()).blocks()
         assert np.allclose(G, 10.0 * np.outer(v, v), rtol=1e-12)
         svals = np.linalg.svd(G, compute_uv=False)
         assert svals[0] == pytest.approx(10.0)
         assert svals[1] < 1e-12 * svals[0]
+
+    def test_blocks_equal_weighted_design_products(self):
+        # The factors reproduce A_i^T W A_i formed directly, on odd and even
+        # grids and mixed orders.
+        rng = np.random.default_rng(29)
+        for nodes in (2, 3, 40, 121):
+            scenario = random_scenario(rng, m_targets=3, target_order_max=3,
+                                       grid_points=nodes)
+            history = measure_scenario(scenario)
+            orders = scenario.effective_orders()
+            times = history.times
+            w = _simpson_weights(nodes, (times[-1] - times[0]) / (nodes - 1))
+            for block, thetas, p in zip(gramian(history, orders).blocks(),
+                                        history.bearings, orders):
+                A = design_matrix(thetas, times, times[0], p)
+                direct = A.T @ (w[:, None] * A)
+                assert np.allclose(block, direct, rtol=0.0,
+                                   atol=1e-12 * np.abs(direct).max()), (nodes, p)
 
     def test_zero_length_window_gives_zero_matrix(self):
         scenario = Scenario(
@@ -62,8 +82,8 @@ class TestGramian:
             targets=(TargetConfig(PolynomialTrajectory(0.0, ((10.0, 10.0),))),),
             t_start=0.0, t_end=0.0, grid_points=5,
         )
-        assert np.array_equal(gramian(measure_scenario(scenario), scenario.effective_orders()),
-                              np.zeros((2, 2)))
+        g = gramian(measure_scenario(scenario), scenario.effective_orders())
+        assert np.array_equal(g.blocks(), np.zeros((1, 2, 2)))
 
     def test_two_constant_bearing_targets_stay_block_rank_deficient(self):
         # Each target contributes an independent rank-1 block, so two
@@ -77,12 +97,14 @@ class TestGramian:
             ),
             t_start=0.0, t_end=8.0, grid_points=9,
         )
-        G = gramian(measure_scenario(scenario), scenario.effective_orders())
+        blocks = gramian(measure_scenario(scenario), scenario.effective_orders()).blocks()
         thetas = [np.pi / 2, 0.0]
         expected = np.zeros((4, 4))
         for i, theta in enumerate(thetas):
             v = np.array([np.cos(theta), -np.sin(theta)])
             expected[2 * i:2 * i + 2, 2 * i:2 * i + 2] = 8.0 * np.outer(v, v)
+        G = np.zeros((4, 4))
+        G[:2, :2], G[2:, 2:] = blocks
         assert np.allclose(G, expected, atol=1e-12)
         assert np.linalg.matrix_rank(G, tol=1e-9) == 2
 
@@ -90,8 +112,8 @@ class TestGramian:
         scenario = single_static_scenario()
         even = replace(scenario, grid_points=10)
         odd = replace(scenario, grid_points=11)
-        G_even = gramian(measure_scenario(even), even.effective_orders())
-        G_odd = gramian(measure_scenario(odd), odd.effective_orders())
+        G_even = gramian(measure_scenario(even), even.effective_orders()).blocks()
+        G_odd = gramian(measure_scenario(odd), odd.effective_orders()).blocks()
         assert np.allclose(G_even, G_odd, rtol=1e-12)
 
     def test_node_count_floor(self):
@@ -104,18 +126,18 @@ class TestGramian:
         rng = np.random.default_rng(23)
         for _ in range(20):
             scenario = random_scenario(rng, target_order_max=1)
-            G = gramian(measure_scenario(scenario), scenario.effective_orders())
-            eigvals = np.linalg.eigvalsh(G)
-            assert eigvals[0] >= -1e-10 * eigvals[-1]
+            for G in gramian(measure_scenario(scenario), scenario.effective_orders()).blocks():
+                eigvals = np.linalg.eigvalsh(G)
+                assert eigvals[0] >= -1e-10 * eigvals[-1]
 
     def test_refinement_converged(self):
         scenario = random_scenario(np.random.default_rng(31))
         base = check_observable(scenario)
         nodes = scenario.grid_points
         refined = replace(scenario, grid_points=2 * nodes)
-        G2 = gramian(measure_scenario(refined), refined.effective_orders())
-        svals = np.linalg.svd(G2, compute_uv=False)
-        refined_ratio = svals[-1] / svals[0]
+        G2 = gramian(measure_scenario(refined), refined.effective_orders()).blocks()
+        svals = np.sort(np.concatenate([np.linalg.svd(G, compute_uv=False) for G in G2]))
+        refined_ratio = svals[0] / svals[-1]
         assert abs(refined_ratio - base.sigma_ratio) < 0.01 * base.sigma_ratio
 
 
@@ -316,6 +338,26 @@ class TestBruteForceOracle:
         assert 2 * sum(p + 1 for p in scenario.effective_orders()) > 2 * nodes
         assert not stacked_rank_observable(scenario)
         assert check_observable(scenario).rank_decision == UNOBSERVABLE
+
+    @pytest.mark.parametrize("nodes", [2, 3])
+    def test_starved_grid_null_vector(self, nodes):
+        # Fewer nodes than a block's 4 unknowns: the invisible direction lies
+        # among the singular values the grid is too short to produce.
+        rng = np.random.default_rng(4)
+        scenario = random_scenario(rng, target_order_max=1)
+        while scenario.effective_orders() != (1, 1):
+            scenario = random_scenario(rng, target_order_max=1)
+        scenario = replace(scenario, grid_points=nodes)
+        report = check_observable(scenario)
+        y = report.null_space
+        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+        history = measure_scenario(scenario)
+        for t, thetas in zip(history.times, history.bearings.T):
+            for theta, p, y_i in zip(thetas, report.orders, split_state(y, report.orders)):
+                row = pseudo_row(theta, p) @ transition_matrix(p, t, scenario.t_start)
+                assert abs(row @ y_i) < 1e-12
+        with pytest.raises(DegenerateSystem):
+            estimate_initial_state(scenario.observer, history, list(report.orders))
 
 
 class TestEquivalenceOfCriteria:
