@@ -27,7 +27,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import NonPositiveAlpha, NonPositiveRange, ZeroRange
-from .measurement import DEFAULT_SOUND_SPEED, angular_difference
+from .measurement import DEFAULT_SOUND_SPEED, angular_difference, doppler
 from .scenario_io import Tolerances, fields_dict
 from .trajectory import (DEFAULT_EPS_RANGE, PolynomialTrajectory, SampledTrajectory,
                          relative_state)
@@ -163,11 +163,15 @@ def _relative_series(traj: Trajectory, observer: PolynomialTrajectory,
     """Relative positions, ranges, and range rates of a trajectory on the grid.
 
     Polynomial trajectories get exact range rates; sampled ones get central
-    differences of the range history (second-order one-sided at the ends).
+    differences of the range history (second-order one-sided at the ends),
+    which need at least 3 grid times.
     """
     if isinstance(traj, PolynomialTrajectory):
         state = relative_state(traj, observer, times, eps_range)
         return state.position, state.range, state.range_rate
+    if len(times) < 3:
+        raise ValueError("range rates of a sampled trajectory need at least 3 grid "
+                         f"times for second-order differences, got {len(times)}")
     if len(traj.times) != len(times) or not np.allclose(
             traj.times, times, rtol=0.0, atol=1e-9):
         raise ValueError("sampled trajectory times must coincide with the grid")
@@ -254,13 +258,6 @@ def generate_bearing_ambiguous(
     return SampledTrajectory(times=times, positions=positions)
 
 
-def _doppler_residual(tonals, c, rates_i, rates_j) -> float:
-    f_i0, f_j0 = tonals
-    f_i = f_i0 * (1.0 - rates_i / c)
-    f_j = f_j0 * (1.0 - rates_j / c)
-    return float(np.max(np.abs(f_i - f_j)))
-
-
 def verify_ambiguity(
     traj_i: Trajectory,
     traj_j: Trajectory,
@@ -297,7 +294,9 @@ def verify_ambiguity(
     if tonals is not None:
         if tol_f is None:
             tol_f = default_doppler_tolerance(max(tonals), times)
-        residual_doppler = _doppler_residual(tonals, c, rates_i, rates_j)
+        f_i0, f_j0 = tonals
+        residual_doppler = float(np.max(np.abs(doppler(f_i0, rates_i, c)
+                                               - doppler(f_j0, rates_j, c))))
     elif regime != BEARING:
         raise ValueError(f"{regime} regime requires tonals")
 
@@ -423,7 +422,7 @@ def check_doppler_sufficiency(
     max_range_dev = float(np.max(range_dev))
     ranges_equal = max_range_dev < tol
 
-    residual = _doppler_residual(tonals, c, rates_i, rates_j)
+    residual = float(np.max(np.abs(doppler(f_i0, rates_i, c) - doppler(f_j0, rates_j, c))))
     all_hold = tonals_equal and transform_is_identity and ranges_equal
     return DopplerSufficiencyReport(
         tonals_equal=tonals_equal,

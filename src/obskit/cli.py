@@ -100,6 +100,10 @@ def _cmd_ambiguity_generate(args: argparse.Namespace) -> int:
     scenario = _load(args)
     base = _base_target(scenario, args.base_target)
     grid = scenario.grid()
+    if len(grid) < 3:  # the certificate's sampled range rates need 3 nodes
+        raise ValidationError(
+            "--grid-points" if args.grid_points is not None else "time.points",
+            f"ambiguity generation needs at least 3 grid points, got {len(grid)}")
     t0 = scenario.t_start
 
     if args.regime == DOPPLER:

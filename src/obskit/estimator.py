@@ -8,9 +8,9 @@ constraints into a least-squares system for the absolute initial state of
 each target, weighted by the square roots of the Gramian's quadrature
 weights. The observer terms supply the right-hand side; the homogeneous
 (relative-coordinate) form of the same operator, sqrt(W) A_i, is what the
-observability Gramian factorises. The estimator solves with those factors
-and takes its verdict from the same ``observability.rank_test``, so the two
-verdicts agree by construction.
+observability Gramian factorises. The estimator solves with the factors of
+one ``observability.gramian`` call and takes its verdict from the same call,
+so the two verdicts agree by construction.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateSystem
 from .measurement import MeasurementHistory, angular_difference, bearing, measure_scenario
-from .observability import gramian, rank_test
+from .observability import gramian
 from .scenario_io import Scenario, Tolerances, fields_dict
 from .trajectory import PolynomialTrajectory, relative_states, trajectory_from_state
 
@@ -87,15 +87,14 @@ def estimate_initial_state(
             raise DegenerateSystem(
                 f"target {i}: {len(times)} measurement rows for {2 * (p + 1)} unknowns")
 
-    factors = gramian(history, orders)
-    rank = rank_test(factors, rank_tol)
-    cutoff = np.sqrt(rank_tol) * rank.singular_values[0]
+    g = gramian(history, orders, rank_tol)
+    cutoff = np.sqrt(rank_tol) * g.singular_values[0]
     obs_x, obs_y = observer.eval(times).T
-    weighted_b = factors.sqrt_weights * (np.cos(history.bearings) * obs_x
-                                         - np.sin(history.bearings) * obs_y)
+    weighted_b = g.sqrt_weights * (np.cos(history.bearings) * obs_x
+                                   - np.sin(history.bearings) * obs_y)
     solution = []
     residual_sq = 0.0
-    for (u, s, vt), b in zip(factors.factors, weighted_b):
+    for (u, s, vt), b in zip(g.factors, weighted_b):
         keep = s > cutoff
         c = np.where(keep, u.T @ b, 0.0)
         solution.append(vt.T @ (c / np.where(keep, s, 1.0)))
@@ -104,11 +103,11 @@ def estimate_initial_state(
     return EstimateResult(
         x_initial_hat=np.concatenate(solution),
         residual_norm=float(np.sqrt(residual_sq)),
-        condition_number=1.0 / rank.sigma_ratio if rank.sigma_ratio > 0 else np.inf,
-        uniqueness=UNIQUE if rank.observable else DEGENERATE,
+        condition_number=1.0 / g.sigma_ratio if g.sigma_ratio > 0 else np.inf,
+        uniqueness=UNIQUE if g.observable else DEGENERATE,
         orders=tuple(orders),
-        singular_values=rank.singular_values,
-        null_space=rank.null_space,
+        singular_values=g.singular_values,
+        null_space=g.null_space,
     )
 
 

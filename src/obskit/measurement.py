@@ -93,17 +93,15 @@ def bearing(rel: RelativeState) -> float | np.ndarray:
     return wrap_angle(np.arctan2(rel.position[..., 0], rel.position[..., 1]))
 
 
-def doppler(tonal: Tonal, rel: RelativeState,
+def doppler(f0: float | np.ndarray, range_rate: float | np.ndarray,
             c: float = DEFAULT_SOUND_SPEED) -> float | np.ndarray:
-    """Received frequency f0 * (1 - range_rate / c), per instant of ``rel``.
+    """Received frequency f0 * (1 - range_rate / c): the one narrowband model.
 
     Closing geometry (range_rate < 0) shifts the tonal up.
     """
     if not c > 0:
         raise ValueError(f"propagation speed must be > 0 m/s, got {c}")
-    if not np.all(rel.range > 0.0):
-        raise ZeroRange("doppler undefined at zero range")
-    return tonal.f0 * (1.0 - rel.range_rate / c)
+    return f0 * (1.0 - range_rate / c)
 
 
 def pseudo_row(theta: float, p: int) -> np.ndarray:
@@ -146,8 +144,8 @@ def measure_scenario(scenario: "Scenario") -> MeasurementHistory:
     """Evaluate bearings (and Doppler where a tonal exists) over the scenario grid.
 
     One ``relative_states`` pass gives every target's kinematics; bearings
-    are one expression over the (M, N) positions and Doppler one expression
-    over the range rates of the targets with a tonal.
+    are one expression over the (M, N) positions and Doppler one ``doppler``
+    call over the range rates of the targets with a tonal.
 
     Raises:
         ZeroRange: With the offending target index and first offending time
@@ -164,7 +162,7 @@ def measure_scenario(scenario: "Scenario") -> MeasurementHistory:
         ) from exc
     rows = [i for i, target in enumerate(scenario.targets) if target.tonal is not None]
     f0 = np.array([scenario.targets[i].tonal.f0 for i in rows])[:, np.newaxis]
-    shifted = dict(zip(rows, f0 * (1.0 - rel.range_rate[rows] / scenario.c)))
+    shifted = dict(zip(rows, doppler(f0, rel.range_rate[rows], scenario.c)))
     dopplers = tuple(shifted.get(i) for i in range(len(scenario.targets)))
     return MeasurementHistory(times=times, bearings=bearing(rel), dopplers=dopplers)
 

@@ -1,18 +1,17 @@
-"""Observability analysis: one factorisation per target, spectral rank test,
+"""Observability analysis: one factorisation per target with its rank decision,
 and bearing-geometry diagnostics (pairwise separation modulo pi, collinearity).
 
 All of it comes from one measurement pass over the scenario grid. The
 Gramian integrates Phi^T C^T C Phi over the window with quadrature weights W
 on that grid. C places each target's pseudo-linear bearing row in its own
 block, so the Gramian is block-diagonal: block i is A_i^T W A_i, with A_i the
-target's design matrix on the grid. It is held as the SVD of each sqrt(W) A_i,
-and ``rank_test`` turns those factors into the one verdict that both
-``check_observable`` and ``estimator.estimate_initial_state`` use: observable
-when the ratio of the extreme squared singular values exceeds ``rank_tol``.
-Per-target block conditioning is reported. The geometric criterion (all
-bearings distinct modulo pi) is a separate diagnostic: it does not capture
-single-target unobservability and is therefore never folded into the rank
-decision.
+target's design matrix on the grid. ``gramian`` holds it as the SVD of each
+sqrt(W) A_i together with the one verdict that both ``check_observable`` and
+``estimator.estimate_initial_state`` use: observable when the ratio of the
+extreme squared singular values exceeds ``rank_tol``. Per-target block
+conditioning is reported. The geometric criterion (all bearings distinct
+modulo pi) is a separate diagnostic: it does not capture single-target
+unobservability and is therefore never folded into the rank decision.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ def _simpson_weights(nodes: int, h: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Gramian:
-    """Block-diagonal observability Gramian, held as one SVD per target.
+    """Block-diagonal observability Gramian, held as one SVD per target, and its verdict.
 
     ``factors[i]`` is (u, s, vt) with u diag(s) vt = sqrt(W) A_i, W the
     quadrature weights (``sqrt_weights ** 2``). s is descending with one entry
@@ -119,6 +118,11 @@ class Gramian:
 
     sqrt_weights: np.ndarray
     factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    observable: bool  # sigma_ratio > rank_tol
+    sigma_ratio: float  # min s^2 / max s^2 over all blocks, 0 for a zero Gramian
+    singular_values: np.ndarray  # every block's s, descending: those of the stacked sqrt(W) A
+    per_target_sigma_ratios: tuple[float, ...]  # min s^2 / max s^2 within each block
+    null_space: np.ndarray | None  # weakest block's last right singular vector, in 2s space
 
     def blocks(self) -> tuple[np.ndarray, ...]:
         """Diagonal blocks A_i^T W A_i = vt^T diag(s^2) vt, symmetrized."""
@@ -126,13 +130,17 @@ class Gramian:
         return tuple(0.5 * (block + block.T) for block in blocks)
 
 
-def gramian(history: MeasurementHistory, orders: Sequence[int]) -> Gramian:
+def gramian(history: MeasurementHistory, orders: Sequence[int],
+            rank_tol: float = Tolerances.rank_tol) -> Gramian:
     """Quadrature observability Gramian on the history's grid, factorised per target.
 
     Integrates Phi^T C^T C Phi over the uniform grid of ``history`` with the
     weights W of ``_simpson_weights``: target i, of order ``orders[i]``, gives
     the diagonal block A_i^T W A_i of its design matrix A_i, kept as the SVD of
-    sqrt(W) A_i. A zero-length window gives zero singular values.
+    sqrt(W) A_i. A zero-length window gives zero singular values. The verdict
+    is the one ``check_observable`` reports and ``estimate_initial_state``
+    solves by; the null direction, given only when not observable, belongs to
+    the smallest singular value (the first block on ties).
 
     Raises:
         ValueError: For fewer than 2 grid nodes.
@@ -150,27 +158,7 @@ def gramian(history: MeasurementHistory, orders: Sequence[int]) -> Gramian:
         if missing > 0:  # the thin SVD leaves out the zero singular values
             s = np.concatenate([s, np.zeros(missing)])
         factors.append((u, s, vt))
-    return Gramian(sqrt_weights=sqrt_w, factors=tuple(factors))
-
-
-@dataclass(frozen=True, eq=False)
-class RankTest:
-    """Rank decision of a ``Gramian``: observable when sigma_ratio > rank_tol."""
-
-    observable: bool
-    sigma_ratio: float  # min s^2 / max s^2 over all blocks, 0 for a zero Gramian
-    singular_values: np.ndarray  # every block's s, descending: those of the stacked sqrt(W) A
-    per_target_sigma_ratios: tuple[float, ...]  # min s^2 / max s^2 within each block
-    null_space: np.ndarray | None  # weakest block's last right singular vector, in 2s space
-
-
-def rank_test(g: Gramian, rank_tol: float) -> RankTest:
-    """The verdict ``check_observable`` reports and ``estimate_initial_state`` solves by.
-
-    The null direction, given only when not observable, belongs to the
-    smallest singular value (the first block on ties).
-    """
-    per_block = [s for _, s, _ in g.factors]
+    per_block = [s for _, s, _ in factors]
     svals = np.sort(np.concatenate(per_block))[::-1]
     ratio, *block_ratios = [float((s[-1] / s[0]) ** 2) if s[0] > 0 else 0.0
                             for s in (svals, *per_block)]
@@ -178,8 +166,9 @@ def rank_test(g: Gramian, rank_tol: float) -> RankTest:
     if not ratio > rank_tol:
         weakest = int(np.argmin([s[-1] for s in per_block]))
         null_space = np.concatenate([vt[-1] if i == weakest else np.zeros(len(vt))
-                                     for i, (_, _, vt) in enumerate(g.factors)])
-    return RankTest(ratio > rank_tol, ratio, svals, tuple(block_ratios), null_space)
+                                     for i, (_, _, vt) in enumerate(factors)])
+    return Gramian(sqrt_w, tuple(factors), ratio > rank_tol, ratio, svals,
+                   tuple(block_ratios), null_space)
 
 
 def _partner_separations(history: MeasurementHistory) -> Iterator[tuple[int, np.ndarray]]:
@@ -242,8 +231,7 @@ def check_observable(scenario: Scenario, rank_tol: float | None = None) -> Obser
         rank_tol = scenario.tolerances.rank_tol
     orders = scenario.effective_orders()
     history = measure_scenario(scenario)
-    factors = gramian(history, orders)
-    rank = rank_test(factors, rank_tol)
+    g = gramian(history, orders, rank_tol)
 
     min_sep = argmin_pair = argmin_time = None
     events: tuple[CollinearityEvent, ...] = ()
@@ -253,13 +241,13 @@ def check_observable(scenario: Scenario, rank_tol: float | None = None) -> Obser
             history, scenario.tolerances.collinearity_tol))
 
     return ObservabilityReport(
-        gramian=factors.blocks(),
-        singular_values=rank.singular_values ** 2,
-        rank_decision=OBSERVABLE if rank.observable else UNOBSERVABLE,
-        sigma_ratio=rank.sigma_ratio,
+        gramian=g.blocks(),
+        singular_values=g.singular_values ** 2,
+        rank_decision=OBSERVABLE if g.observable else UNOBSERVABLE,
+        sigma_ratio=g.sigma_ratio,
         rank_tol=float(rank_tol),
-        null_space=rank.null_space,
-        per_target_sigma_ratios=rank.per_target_sigma_ratios,
+        null_space=g.null_space,
+        per_target_sigma_ratios=g.per_target_sigma_ratios,
         orders=orders,
         min_pairwise_separation=min_sep,
         argmin_pair=argmin_pair,

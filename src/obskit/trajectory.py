@@ -242,15 +242,6 @@ def transition_matrix(p: int, t: float, t_i: float) -> np.ndarray:
     return np.kron(upper, np.eye(2))
 
 
-def chain_integrator_matrix(p: int) -> np.ndarray:
-    """Dynamics matrix E of the unforced chain integrator: d/dt x^(k) = x^(k+1)."""
-    n = 2 * (p + 1)
-    E = np.zeros((n, n))
-    for k in range(p):
-        E[2 * k:2 * k + 2, 2 * k + 2:2 * k + 4] = np.eye(2)
-    return E
-
-
 def propagate_ode(x_initial: np.ndarray, t_i: float, t_f: float, steps: int) -> np.ndarray:
     """Fixed-step RK4 propagation of the chain-integrator state.
 
@@ -269,7 +260,7 @@ def propagate_ode(x_initial: np.ndarray, t_i: float, t_f: float, steps: int) -> 
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     p = len(x) // 2 - 1
-    E = chain_integrator_matrix(p)
+    E = np.kron(np.eye(p + 1, k=1), np.eye(2))  # d/dt x^(k) = x^(k+1)
     h = (float(t_f) - float(t_i)) / steps
     for _ in range(steps):
         k1 = E @ x

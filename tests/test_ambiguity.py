@@ -11,7 +11,7 @@ from obskit.ambiguity import (AMBIGUOUS, BEARING, COMBINED, DISTINGUISHABLE, DOP
 from obskit.errors import NonPositiveAlpha, NonPositiveRange
 from obskit.selftest import (random_alpha, random_doppler_spec, random_observer,
                              random_polynomial)
-from obskit.trajectory import PolynomialTrajectory, relative_state
+from obskit.trajectory import PolynomialTrajectory, SampledTrajectory, relative_state
 
 C_SOUND = 1500.0
 
@@ -144,6 +144,37 @@ class TestGenerateBearingAmbiguous:
         assert excinfo.value.time is not None
 
 
+class TestProfileSamples:
+    """``rotation`` and ``alpha`` may be per-node sample arrays instead of callables."""
+
+    PROFILES = {DOPPLER: lambda t: 0.05 * t, BEARING: lambda t: 1.0 + 0.5 * np.sin(0.5 * t)}
+
+    @staticmethod
+    def generate(generator, profile, grid):
+        base, observer = base_geometry()
+        if generator == DOPPLER:
+            spec = DopplerAmbiguitySpec(l_prime=1.02, b_prime=400.0, rotation=profile,
+                                        c=C_SOUND)
+            return generate_doppler_ambiguous(base, observer, spec, grid)
+        return generate_bearing_ambiguous(base, observer, profile, grid)
+
+    @pytest.mark.parametrize("generator", [DOPPLER, BEARING])
+    def test_samples_match_the_callable(self, generator):
+        grid = short_grid(points=201, window=10.0)
+        profile = self.PROFILES[generator]
+        samples = np.array([float(profile(t)) for t in grid])
+        from_callable = self.generate(generator, profile, grid)
+        from_samples = self.generate(generator, samples, grid)
+        assert np.array_equal(from_samples.positions, from_callable.positions)
+
+    @pytest.mark.parametrize("generator,name", [(DOPPLER, "rotation"), (BEARING, "alpha")])
+    def test_wrong_length_rejected(self, generator, name):
+        grid = short_grid(points=201, window=10.0)
+        samples = np.array([float(self.PROFILES[generator](t)) for t in grid[:-1]])
+        with pytest.raises(ValueError, match=f"{name} samples must match the grid length 201"):
+            self.generate(generator, samples, grid)
+
+
 class TestVerifyAmbiguity:
     def test_identical_pair_ambiguous_in_every_regime(self):
         base, observer = base_geometry()
@@ -187,6 +218,13 @@ class TestVerifyAmbiguity:
         with pytest.raises(ValueError):
             verify_ambiguity(base, base, observer, None, C_SOUND, grid,
                              regime=DOPPLER)
+
+    def test_sampled_trajectory_needs_three_grid_times(self):
+        base, observer = base_geometry()
+        grid = short_grid(points=2)
+        sampled = SampledTrajectory(grid, np.array([base.eval(t) for t in grid]))
+        with pytest.raises(ValueError, match="at least 3 grid times"):
+            verify_ambiguity(sampled, base, observer, None, C_SOUND, grid, regime=BEARING)
 
     def test_certificate_serializes_both_trajectory_kinds(self):
         base, observer = base_geometry()

@@ -175,6 +175,64 @@ class TestAmbiguity:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("regime", ["doppler", "bearing"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_generate_rejects_two_point_grid(tmp_path, capsys, regime, source):
+    # The certificate's sampled range rates need second-order differences.
+    argv = ["ambiguity", "generate", str(DOPPLER_BASE), "--regime", regime,
+            "-o", str(tmp_path / "pair")]
+    if source == "flag":
+        argv += ["--grid-points", "2"]
+    else:
+        data = json.loads(DOPPLER_BASE.read_text())
+        data["time"]["points"] = 2
+        argv[2] = str(tmp_path / "two_points.json")
+        Path(argv[2]).write_text(json.dumps(data))
+    assert run_cli(argv) == 1
+    field = "--grid-points" if source == "flag" else "time.points"
+    assert f"error: {field}: ambiguity generation needs at least 3 grid points, got 2" in (
+        capsys.readouterr().err)
+    assert not list(tmp_path.glob("pair*"))
+
+
+# A valid candidate trajectory CSV; {meets} is the same file with its first row
+# on the observer of doppler_pair_base.json at t = 0.
+CANDIDATE = "t,x_m,y_m\n0.0,500.0,500.0\n1.0,510.0,500.0\n2.0,520.0,500.0\n"
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["ambiguity", "generate", str(DOPPLER_BASE), "--regime", "doppler", "-o", "{tmp}/x",
+      "--base-target", "9"], 1, "error: targets[9]: scenario has 1 targets"),
+    (["ambiguity", "generate", str(DOPPLER_BASE), "--regime", "bearing", "-o", "{tmp}/x",
+      "--base-target", "-1"], 1, "error: targets[-1]: scenario has 1 targets"),
+    (["ambiguity", "verify", str(DOPPLER_BASE), "{csv}", "--base-target", "9"],
+     1, "error: targets[9]: scenario has 1 targets"),
+    (["ambiguity", "verify", str(DOPPLER_BASE), "{csv}", "--base-target", "-1"],
+     1, "error: targets[-1]: scenario has 1 targets"),
+    (["ambiguity", "verify", str(DOPPLER_BASE), "{tmp}/missing.csv"],
+     1, "error: cannot read trajectory file"),
+    (["ambiguity", "verify", str(COLLINEAR), "{csv}", "--regime", "doppler",
+      "--base-target", "1"], 1, "error: targets[1].tonal_hz: doppler-regime verification"),
+    (["ambiguity", "verify", str(COLLINEAR), "{csv}", "--regime", "combined",
+      "--base-target", "1"], 1, "error: targets[1].tonal_hz: combined-regime verification"),
+    (["ambiguity", "verify", str(DOPPLER_BASE), "{meets}"],
+     2, "analysis error: trajectory meets the observer at t=0.0"),
+], ids=["generate-target-9", "generate-target-minus-1", "verify-target-9",
+        "verify-target-minus-1", "verify-missing-csv", "verify-doppler-without-tonal",
+        "verify-combined-without-tonal", "verify-meets-observer"])
+def test_bad_ambiguity_input_exits(tmp_path, capsys, argv, code, message):
+    csv, meets = tmp_path / "candidate.csv", tmp_path / "meets.csv"
+    csv.write_text(CANDIDATE)
+    meets.write_text(CANDIDATE.replace("0.0,500.0,500.0", "0.0,0.0,0.0"))
+    argv = [a.replace("{tmp}", str(tmp_path)).replace("{csv}", str(csv))
+            .replace("{meets}", str(meets)) for a in argv]
+    assert run_cli(argv) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("x_*"))
+
+
 class TestScenarioNumbers:
     @pytest.mark.parametrize("mutate,field", [
         (lambda d: d["time"].update(start="zero"), "time.start"),

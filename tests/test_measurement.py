@@ -52,23 +52,23 @@ class TestBearing:
 
 class TestDoppler:
     def test_zero_range_rate_returns_tonal(self):
-        assert doppler(Tonal(750.0), rel(100.0, 0.0)) == pytest.approx(750.0)
+        assert doppler(750.0, rel(100.0, 0.0).range_rate) == pytest.approx(750.0)
 
     def test_range_rate_equal_to_c_gives_zero(self):
         state = rel(100.0, 0.0, vx=1500.0)
-        assert doppler(Tonal(750.0), state, c=1500.0) == pytest.approx(0.0)
+        assert doppler(750.0, state.range_rate, c=1500.0) == pytest.approx(0.0)
 
     def test_receding_target_shifts_down(self):
         state = rel(100.0, 0.0, vx=15.0)  # range rate +15 m/s
-        assert doppler(Tonal(1000.0), state, c=1500.0) == pytest.approx(990.0)
+        assert doppler(1000.0, state.range_rate, c=1500.0) == pytest.approx(990.0)
 
     def test_closing_geometry_shifts_up(self):
         state = rel(100.0, 0.0, vx=-3.0)
-        assert doppler(Tonal(1000.0), state, c=1500.0) > 1000.0
+        assert doppler(1000.0, state.range_rate, c=1500.0) > 1000.0
 
     def test_invalid_speed_rejected(self):
         with pytest.raises(ValueError):
-            doppler(Tonal(1000.0), rel(1.0, 1.0), c=0.0)
+            doppler(1000.0, rel(1.0, 1.0).range_rate, c=0.0)
 
     def test_tonal_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -142,7 +142,7 @@ class TestMeasureScenario:
                 state = relative_state(target.trajectory, scenario.observer, t)
                 assert history.bearings[i, k] == bearing(state)
                 assert history.dopplers[i][k] == doppler(
-                    Tonal(600.0), state, scenario.c)
+                    600.0, state.range_rate, scenario.c)
 
     def test_crossing_scenario_bearings_intersect(self):
         # target B sweeps across target A's line of sight at t = 5
