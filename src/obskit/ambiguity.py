@@ -14,6 +14,11 @@ positive scalar profile alpha. Requiring both regimes forces the rotation
 to be trivial and ties the scale to the range relation, which is the
 rigidity that the combined-measurement eigencheck quantifies.
 
+Each relation has one home: the range relation is ``DopplerAmbiguitySpec.ranges``
+and the Doppler comparison with its default tolerance is ``_compare_doppler``.
+The reports never build the transform W(t) = scale(t) R(psi(t)); they read
+their values off its closed form.
+
 Rotation angles are counterclockwise in the x-y plane. ``rotation`` and
 ``alpha`` profiles may be callables of time, per-node sample arrays, or
 scalars (constant profiles).
@@ -21,6 +26,7 @@ scalars (constant profiles).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -60,10 +66,17 @@ class DopplerAmbiguitySpec:
     c: float = DEFAULT_SOUND_SPEED
 
     def __post_init__(self):
-        if not self.l_prime > 0:
-            raise ValueError(f"l_prime must be > 0, got {self.l_prime}")
-        if not self.c > 0:
-            raise ValueError(f"c must be > 0 m/s, got {self.c}")
+        if not (math.isfinite(self.l_prime) and self.l_prime > 0):
+            raise ValueError(f"l_prime must be a finite number > 0, got {self.l_prime}")
+        if not math.isfinite(self.b_prime):
+            raise ValueError(f"b_prime must be a finite number, got {self.b_prime}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be a finite number > 0 m/s, got {self.c}")
+
+    def ranges(self, s_j: np.ndarray | float, times: np.ndarray) -> np.ndarray:
+        """The counterpart's ranges l' s_j + b' + c (1 - l') (t - t_i), t_i = times[0]."""
+        return (self.l_prime * s_j + self.b_prime
+                + self.c * (1.0 - self.l_prime) * (times - times[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +108,8 @@ class CombinedConditionReport:
     The range-relation transform W(t) (rotation times scale) must map the
     base relative position onto itself for the pair to stay ambiguous under
     both measurements; eigen_residuals is the relative off-eigenvector part
-    (|sin| of the rotation), alphas the Rayleigh-quotient scale.
+    (|sin| of the rotation), alphas the Rayleigh-quotient scale (scale times
+    cos of the rotation).
     combined_ambiguous requires the eigenvector condition AND alpha == 1,
     which forces the trajectories to coincide.
     """
@@ -139,13 +153,17 @@ class DopplerSufficiencyReport:
 
 def _profile_values(profile: ScalarProfile, times: np.ndarray, name: str) -> np.ndarray:
     if callable(profile):
-        return np.array([float(profile(t)) for t in times])
-    values = np.asarray(profile, dtype=float)
-    if values.ndim == 0:
-        return np.full(len(times), float(values))
-    if values.shape != times.shape:
-        raise ValueError(
-            f"{name} samples must match the grid length {len(times)}, got {values.shape}")
+        values = np.array([float(profile(t)) for t in times])
+    else:
+        values = np.asarray(profile, dtype=float)
+        if values.ndim == 0:
+            values = np.full(len(times), float(values))
+        elif values.shape != times.shape:
+            raise ValueError(
+                f"{name} samples must match the grid length {len(times)}, got {values.shape}")
+    if not np.isfinite(values).all():
+        k = int(np.argmin(np.isfinite(values)))
+        raise ValueError(f"{name} must be finite on the grid, got {values[k]} at t={times[k]}")
     return values
 
 
@@ -198,6 +216,14 @@ def default_doppler_tolerance(f_ref: float, times: np.ndarray) -> float:
     return 1e-9 * f_ref + 10.0 * dt ** 2
 
 
+def _compare_doppler(tonals: tuple[float, float], rates_i: np.ndarray, rates_j: np.ndarray,
+                     c: float, times: np.ndarray, tol_f: float | None) -> tuple[float, float]:
+    """Max |f_i - f_j| over the grid, and tol_f (the default tolerance when None)."""
+    f_i0, f_j0 = tonals
+    residual = float(np.max(np.abs(doppler(f_i0, rates_i, c) - doppler(f_j0, rates_j, c))))
+    return residual, default_doppler_tolerance(max(tonals), times) if tol_f is None else tol_f
+
+
 def generate_doppler_ambiguous(
     base: PolynomialTrajectory,
     observer: PolynomialTrajectory,
@@ -218,17 +244,15 @@ def generate_doppler_ambiguous(
         ZeroRange: If the base trajectory meets the observer.
     """
     times = _grid(grid)
-    t_i = times[0]
     rel_j, s_j, _ = _relative_series(base, observer, times, eps_range)
-    s_i = spec.l_prime * s_j + spec.b_prime + spec.c * (1.0 - spec.l_prime) * (times - t_i)
+    s_i = spec.ranges(s_j, times)
     if np.any(s_i <= 0):
         k = int(np.argmax(s_i <= 0))
         raise NonPositiveRange(
             f"derived range {s_i[k]:.6g} m at t={times[k]}; "
             f"spec infeasible on this window", time=float(times[k]))
     psi = _profile_values(spec.rotation, times, "rotation")
-    u_i = _rotate(rel_j / s_j[:, None], psi)
-    positions = observer.eval(times) + s_i[:, None] * u_i
+    positions = observer.eval(times) + s_i[:, None] * _rotate(rel_j / s_j[:, None], psi)
     return SampledTrajectory(times=times, positions=positions)
 
 
@@ -292,22 +316,12 @@ def verify_ambiguity(
 
     residual_doppler = None
     if tonals is not None:
-        if tol_f is None:
-            tol_f = default_doppler_tolerance(max(tonals), times)
-        f_i0, f_j0 = tonals
-        residual_doppler = float(np.max(np.abs(doppler(f_i0, rates_i, c)
-                                               - doppler(f_j0, rates_j, c))))
+        residual_doppler, tol_f = _compare_doppler(tonals, rates_i, rates_j, c, times, tol_f)
     elif regime != BEARING:
         raise ValueError(f"{regime} regime requires tonals")
 
-    doppler_ok = residual_doppler is not None and residual_doppler < tol_f
-    bearing_ok = residual_bearing < tol_theta
-    if regime == DOPPLER:
-        ambiguous = doppler_ok
-    elif regime == BEARING:
-        ambiguous = bearing_ok
-    else:
-        ambiguous = doppler_ok and bearing_ok
+    ambiguous = ((regime == BEARING or residual_doppler < tol_f)
+                 and (regime == DOPPLER or residual_bearing < tol_theta))
 
     return AmbiguityCertificate(
         trajectory_i=traj_i,
@@ -333,30 +347,25 @@ def check_combined_condition(
 ) -> CombinedConditionReport:
     """Eigencheck of the combined-measurement rigidity condition.
 
-    Reconstructs W(t) = R(rotation(t)) * [l' + (b' + c (1 - l')(t - t_i)) /
-    s_j(t)] from the spec and the base ranges, then reports per node the
-    Rayleigh scale alpha(t) = s_j^T W s_j / |s_j|^2, the relative residual
-    of W s_j off the s_j direction, and whether alpha(t) = 1 throughout.
-    Both must hold for combined ambiguity, which forces the pair to
-    coincide; position_residuals additionally checks the position-difference
-    identity pos_i - pos_j = (W - I) s_j against the actual pair.
+    Reads the per-node values off W(t) = scale R(psi), scale = spec.ranges(s_j) / s_j:
+    the Rayleigh scale alpha = s_j^T W s_j / |s_j|^2 = scale cos(psi), the
+    relative residual of W s_j off the s_j direction |sin(psi)| (0 where
+    W = 0), and whether alpha = 1 throughout. Both must hold for combined
+    ambiguity, which forces the pair to coincide; position_residuals checks
+    the identity pos_i - pos_j = (W - I) s_j against the actual pair, as
+    |s_i - W s_j| / |s_j|.
     """
     times = _grid(grid)
-    t_i = times[0]
     rel_i, _, _ = _relative_series(traj_i, observer, times, eps_range)
     rel_j, s_j, _ = _relative_series(traj_j, observer, times, eps_range)
 
     psi = _profile_values(spec.rotation, times, "rotation")
-    scale = spec.l_prime + (
-        spec.b_prime + spec.c * (1.0 - spec.l_prime) * (times - t_i)) / s_j
-
-    w_rel = scale[:, None] * _rotate(rel_j, psi)
-    alphas = np.einsum("ij,ij->i", rel_j, w_rel) / s_j ** 2
-    w_norm = np.abs(scale) * s_j
-    eigen_residuals = np.linalg.norm(
-        w_rel - alphas[:, None] * rel_j, axis=1) / np.where(w_norm > 0, w_norm, 1.0)
+    # The relation is affine in s_j with slope l': ranges(s_j) / s_j = l' + ranges(0) / s_j.
+    scale = spec.l_prime + spec.ranges(0.0, times) / s_j
+    alphas = scale * np.cos(psi)
+    eigen_residuals = np.where(scale == 0, 0.0, np.abs(np.sin(psi)))
     position_residuals = np.linalg.norm(
-        (rel_i - rel_j) - (w_rel - rel_j), axis=1) / s_j
+        rel_i - scale[:, None] * _rotate(rel_j, psi), axis=1) / s_j
 
     max_eigen = float(np.max(eigen_residuals))
     max_alpha_dev = float(np.max(np.abs(alphas - 1.0)))
@@ -390,10 +399,10 @@ def check_doppler_sufficiency(
     """Check the three sufficient conditions for equal Doppler histories.
 
     The conditions are (1) equal radiated tonals, (2) the geometric
-    transform carrying the base relative position onto the counterpart is
-    the identity, (3) equal ranges. The transform is reconstructed from the
-    pair itself: per-node scale s_i / s_j and the rotation carrying one
-    line of sight onto the other. The report also confirms the implication
+    transform W carrying the base relative position onto the counterpart is
+    the identity, (3) equal ranges. W maps s_j onto s_i, so its deviation
+    from the identity is |W - I| = |s_i - s_j| / |s_j| per node, read off
+    the pair itself. The report also confirms the implication
     "all three hold => Doppler residual below tolerance"; the converse is
     false (the triple is not necessary), which callers can see on pairs
     with unequal tonals and matching residuals.
@@ -401,28 +410,14 @@ def check_doppler_sufficiency(
     times = _grid(grid)
     rel_i, s_i, rates_i = _relative_series(traj_i, observer, times, eps_range)
     rel_j, s_j, rates_j = _relative_series(traj_j, observer, times, eps_range)
-    if tol_f is None:
-        tol_f = default_doppler_tolerance(max(tonals), times)
+    residual, tol_f = _compare_doppler(tonals, rates_i, rates_j, c, times, tol_f)
 
-    f_i0, f_j0 = tonals
-    tonals_equal = abs(f_i0 - f_j0) <= tol * max(f_i0, f_j0)
-
-    # W = scale * R(delta) with scale = s_i/s_j and delta the angle from
-    # u_j to u_i; deviation from identity is |scale * e^(i delta) - 1|.
-    scale = s_i / s_j
-    dot = np.einsum("ij,ij->i", rel_i, rel_j)
-    cross = rel_j[:, 0] * rel_i[:, 1] - rel_j[:, 1] * rel_i[:, 0]
-    delta = np.arctan2(cross, dot)
-    transform_dev = np.sqrt(
-        (scale * np.cos(delta) - 1.0) ** 2 + (scale * np.sin(delta)) ** 2)
-    max_transform_dev = float(np.max(transform_dev))
+    tonals_equal = abs(tonals[0] - tonals[1]) <= tol * max(tonals)
+    max_transform_dev = float(np.max(np.linalg.norm(rel_i - rel_j, axis=1) / s_j))
     transform_is_identity = max_transform_dev < tol
-
-    range_dev = np.abs(s_i - s_j) / s_j
-    max_range_dev = float(np.max(range_dev))
+    max_range_dev = float(np.max(np.abs(s_i - s_j) / s_j))
     ranges_equal = max_range_dev < tol
 
-    residual = float(np.max(np.abs(doppler(f_i0, rates_i, c) - doppler(f_j0, rates_j, c))))
     all_hold = tonals_equal and transform_is_identity and ranges_equal
     return DopplerSufficiencyReport(
         tonals_equal=tonals_equal,

@@ -96,6 +96,15 @@ def _base_target(scenario: Scenario, index: int):
     return scenario.targets[index]
 
 
+def _certify(scenario: Scenario, candidate, base, tonals, regime: str):
+    """Certify a candidate on its own times with the scenario's c and tolerances."""
+    tolerances = scenario.tolerances
+    return verify_ambiguity(
+        candidate, base.trajectory, scenario.observer, tonals, scenario.c,
+        candidate.times, regime=regime, tol_f=tolerances.tol_f,
+        tol_theta=tolerances.tol_theta, eps_range=tolerances.eps_range)
+
+
 def _cmd_ambiguity_generate(args: argparse.Namespace) -> int:
     scenario = _load(args)
     base = _base_target(scenario, args.base_target)
@@ -125,11 +134,7 @@ def _cmd_ambiguity_generate(args: argparse.Namespace) -> int:
             grid, scenario.tolerances.eps_range)
         tonals = None if base.tonal is None else (base.tonal.f0, base.tonal.f0)
 
-    certificate = verify_ambiguity(
-        generated, base.trajectory, scenario.observer, tonals, scenario.c, grid,
-        regime=args.regime, tol_f=scenario.tolerances.tol_f,
-        tol_theta=scenario.tolerances.tol_theta,
-        eps_range=scenario.tolerances.eps_range)
+    certificate = _certify(scenario, generated, base, tonals, args.regime)
 
     prefix = args.output
     traj_path = Path(f"{prefix}_trajectory.csv")
@@ -146,24 +151,21 @@ def _cmd_ambiguity_verify(args: argparse.Namespace) -> int:
     scenario = _load(args)
     base = _base_target(scenario, args.base_target)
     candidate = read_trajectory_csv(args.trajectory)
-    grid = candidate.times
 
     if base.tonal is not None:
         f_j0 = base.tonal.f0
-        f_i0 = args.tonal_i if args.tonal_i is not None else f_j0
-        tonals = (f_i0, f_j0)
+        tonals = (args.tonal_i if args.tonal_i is not None else f_j0, f_j0)
     elif args.regime != BEARING:
         raise ValidationError(
             f"targets[{args.base_target}].tonal_hz",
             f"{args.regime}-regime verification needs the base target's tonal")
+    elif args.tonal_i is not None:
+        raise ValidationError(
+            "--tonal-i", f"targets[{args.base_target}] has no tonal_hz to compare it with")
     else:
         tonals = None
 
-    certificate = verify_ambiguity(
-        candidate, base.trajectory, scenario.observer, tonals, scenario.c, grid,
-        regime=args.regime, tol_f=scenario.tolerances.tol_f,
-        tol_theta=scenario.tolerances.tol_theta,
-        eps_range=scenario.tolerances.eps_range)
+    certificate = _certify(scenario, candidate, base, tonals, args.regime)
     _emit_json(dumps_json(certificate.to_dict()), args.output)
     return 0
 

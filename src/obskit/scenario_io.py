@@ -119,14 +119,20 @@ def _check_fields(scenario: Scenario) -> None:
 def validate_scenario(scenario: Scenario) -> None:
     """Check every scenario invariant; raise ValidationError with a field path.
 
-    The kinematic check evaluates all targets in one ``relative_states``
-    pass and names the first target, in index order, that meets the
-    observer or whose range or range rate overflows.
+    The grid's float times must be strictly increasing: far from zero a
+    short window can round several nodes to one time. The kinematic check
+    evaluates all targets in one ``relative_states`` pass and names the
+    first target, in index order, that meets the observer or whose range
+    or range rate overflows.
     """
     _check_fields(scenario)
     trajectories = scenario.target_trajectories()
     eps = scenario.tolerances.eps_range
     times = scenario.grid()
+    if not np.all(np.diff(times) > 0):
+        raise ValidationError(
+            "time.points", f"{scenario.grid_points} points on [{scenario.t_start}, "
+            f"{scenario.t_end}] give only {len(np.unique(times))} distinct float times")
     zero = None
     # Overflow shows as a non-finite range or range rate, checked below.
     with np.errstate(over="ignore", invalid="ignore"):

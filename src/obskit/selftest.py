@@ -132,7 +132,7 @@ def random_doppler_spec(
     l_prime = float(rng.uniform(0.9, 1.1))
     rate = float(rng.uniform(0.02, 0.3) * rng.choice([-1.0, 1.0]))
     ranges = relative_state(base, observer, grid).range
-    needed = l_prime * ranges + c * (1.0 - l_prime) * (grid - grid[0])
+    needed = DopplerAmbiguitySpec(l_prime, 0.0, 0.0, c).ranges(ranges, grid)
     # keep the derived range history at least 50-300 m above zero
     b_prime = float(rng.uniform(50, 300)) - min(0.0, float(np.min(needed)))
     return DopplerAmbiguitySpec(l_prime=l_prime, b_prime=b_prime,

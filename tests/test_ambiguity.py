@@ -384,3 +384,142 @@ class TestDefaultTolerance:
         grid = np.linspace(0.0, 1.0, 101)
         tol = default_doppler_tolerance(1000.0, grid)
         assert tol == pytest.approx(1e-6 + 10.0 * 0.01 ** 2)
+
+
+class TestNonFiniteInputs:
+    """NaN and infinity fail the positivity checks' `x <= 0` silently; reject them."""
+
+    NAN_PROFILES = {"scalar": float("nan"),
+                    "array": np.where(np.arange(101) == 7, np.nan, 0.5),
+                    "callable": lambda t: np.nan if t > 0.5 else 0.5}
+
+    @pytest.mark.parametrize("kind", sorted(NAN_PROFILES))
+    def test_bearing_generator_rejects_nan_alpha(self, kind):
+        base, observer = base_geometry()
+        with pytest.raises(ValueError, match="alpha must be finite on the grid, got nan"):
+            generate_bearing_ambiguous(base, observer, self.NAN_PROFILES[kind], short_grid())
+
+    @pytest.mark.parametrize("kind", sorted(NAN_PROFILES))
+    def test_doppler_generator_and_eigencheck_reject_nan_rotation(self, kind):
+        base, observer = base_geometry()
+        spec = DopplerAmbiguitySpec(1.0, 100.0, self.NAN_PROFILES[kind], c=C_SOUND)
+        with pytest.raises(ValueError, match="rotation must be finite on the grid, got nan"):
+            generate_doppler_ambiguous(base, observer, spec, short_grid())
+        with pytest.raises(ValueError, match="rotation must be finite on the grid, got nan"):
+            check_combined_condition(base, base, observer, spec, short_grid())
+
+    @pytest.mark.parametrize("l_prime,b_prime,c,name", [
+        (1.0, float("nan"), C_SOUND, "b_prime"),
+        (1.0, float("inf"), C_SOUND, "b_prime"),
+        (1.0, -float("inf"), C_SOUND, "b_prime"),
+        (float("inf"), 0.0, C_SOUND, "l_prime"),
+        (float("nan"), 0.0, C_SOUND, "l_prime"),
+        (1.0, 0.0, float("inf"), "c"),
+    ])
+    def test_spec_rejects_non_finite_numbers(self, l_prime, b_prime, c, name):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            DopplerAmbiguitySpec(l_prime, b_prime, 0.0, c=c)
+
+
+def relative_positions(traj, observer, times):
+    if isinstance(traj, SampledTrajectory):
+        return traj.positions - observer.eval(times)
+    return relative_state(traj, observer, times).position
+
+
+def combined_oracle(traj_i, traj_j, observer, spec, times):
+    """Alphas, eigen residuals and position residuals of the rigidity check,
+    from W rebuilt as a rotation of the base relative positions: the Rayleigh
+    quotient by einsum, the off-direction residual by norms (0 where W = 0)
+    and the position identity pos_i - pos_j = (W - I) s_j."""
+    rel_i = relative_positions(traj_i, observer, times)
+    rel_j = relative_positions(traj_j, observer, times)
+    s_j = np.linalg.norm(rel_j, axis=1)
+    psi = np.array([float(spec.rotation(t)) for t in times]) if callable(
+        spec.rotation) else np.broadcast_to(np.asarray(spec.rotation, float), times.shape)
+    scale = spec.l_prime + (
+        spec.b_prime + spec.c * (1.0 - spec.l_prime) * (times - times[0])) / s_j
+    cos, sin = np.cos(psi), np.sin(psi)
+    rotated = np.column_stack([cos * rel_j[:, 0] - sin * rel_j[:, 1],
+                               sin * rel_j[:, 0] + cos * rel_j[:, 1]])
+    w_rel = scale[:, None] * rotated
+    alphas = np.einsum("ij,ij->i", rel_j, w_rel) / s_j ** 2
+    w_norm = np.abs(scale) * s_j
+    eigen = np.linalg.norm(w_rel - alphas[:, None] * rel_j, axis=1) / np.where(
+        w_norm > 0, w_norm, 1.0)
+    position = np.linalg.norm((rel_i - rel_j) - (w_rel - rel_j), axis=1) / s_j
+    return alphas, eigen, position
+
+
+def transform_deviation_oracle(traj_i, traj_j, observer, times):
+    """Max |W - I| with W = (s_i / s_j) R(delta), delta the angle from u_j to u_i."""
+    rel_i = relative_positions(traj_i, observer, times)
+    rel_j = relative_positions(traj_j, observer, times)
+    scale = np.linalg.norm(rel_i, axis=1) / np.linalg.norm(rel_j, axis=1)
+    dot = np.einsum("ij,ij->i", rel_i, rel_j)
+    cross = rel_j[:, 0] * rel_i[:, 1] - rel_j[:, 1] * rel_i[:, 0]
+    delta = np.arctan2(cross, dot)
+    return float(np.max(np.sqrt((scale * np.cos(delta) - 1.0) ** 2
+                                + (scale * np.sin(delta)) ** 2)))
+
+
+class TestClosedFormsMatchOracles:
+    """The reports read their values off W's closed form; the oracles rebuild W."""
+
+    @staticmethod
+    def assert_matches(traj_i, traj_j, observer, spec, grid):
+        report = check_combined_condition(traj_i, traj_j, observer, spec, grid)
+        alphas, eigen, position = combined_oracle(traj_i, traj_j, observer, spec, grid)
+        assert np.allclose(report.alphas, alphas, rtol=0.0, atol=1e-12)
+        assert np.allclose(report.eigen_residuals, eigen, rtol=0.0, atol=1e-12)
+        assert np.allclose(report.position_residuals, position, rtol=0.0, atol=1e-12)
+        sufficiency = check_doppler_sufficiency(traj_i, traj_j, observer,
+                                                (1000.0, 1000.0), spec.c, grid)
+        assert sufficiency.max_transform_deviation == pytest.approx(
+            transform_deviation_oracle(traj_i, traj_j, observer, grid), rel=0.0, abs=1e-12)
+        return report
+
+    def test_random_generator_pairs(self):
+        rng = np.random.default_rng(41)
+        grid = np.linspace(0.0, 2.0, 201)
+        for _ in range(20):
+            base = random_polynomial(rng, int(rng.integers(0, 3)),
+                                     pos_scale=rng.uniform(800, 3000))
+            observer = random_observer(rng, 2)
+            spec = random_doppler_spec(rng, base, observer, grid)
+            generated = generate_doppler_ambiguous(base, observer, spec, grid)
+            self.assert_matches(generated, base, observer, spec, grid)
+
+    def test_rotation_of_pi(self):
+        base, observer = base_geometry()
+        grid = short_grid(window=10.0)
+        spec = DopplerAmbiguitySpec(1.0, 100.0, np.pi, c=C_SOUND)
+        generated = generate_doppler_ambiguous(base, observer, spec, grid)
+        report = self.assert_matches(generated, base, observer, spec, grid)
+        assert np.all(report.alphas < -1.0)
+
+    def test_range_relation_zero_at_one_node(self):
+        # l' = 1 and b' = -s_j(t_k) put the range relation, and so W, at 0 at node k.
+        base, observer = base_geometry()
+        grid = short_grid(window=10.0)
+        k = 37
+        s_j = relative_state(base, observer, grid).range
+        spec = DopplerAmbiguitySpec(1.0, -float(s_j[k]), lambda t: 0.3 * t, c=C_SOUND)
+        assert spec.ranges(s_j, grid)[k] == 0.0
+        shifted = PolynomialTrajectory(0.0, ((1600.0, 1900.0), (-5.0, 2.0)))
+        report = self.assert_matches(shifted, base, observer, spec, grid)
+        assert report.alphas[k] == 0.0 and report.eigen_residuals[k] == 0.0
+
+    def test_b_prime_free_relation_is_the_written_out_expression(self):
+        # selftest.random_doppler_spec draws the bench's specs from this b'-free relation.
+        rng = np.random.default_rng(43)
+        grid = np.linspace(0.0, 2.0, 1001)
+        for _ in range(200):
+            base = random_polynomial(rng, int(rng.integers(0, 3)),
+                                     pos_scale=rng.uniform(800, 3000))
+            observer = random_observer(rng, 2)
+            l_prime = float(rng.uniform(0.9, 1.1))
+            ranges = relative_state(base, observer, grid).range
+            needed = l_prime * ranges + C_SOUND * (1.0 - l_prime) * (grid - grid[0])
+            spec = DopplerAmbiguitySpec(l_prime, 0.0, 0.0, c=C_SOUND)
+            assert np.array_equal(spec.ranges(ranges, grid), needed)

@@ -215,11 +215,15 @@ CANDIDATE = "t,x_m,y_m\n0.0,500.0,500.0\n1.0,510.0,500.0\n2.0,520.0,500.0\n"
       "--base-target", "1"], 1, "error: targets[1].tonal_hz: doppler-regime verification"),
     (["ambiguity", "verify", str(COLLINEAR), "{csv}", "--regime", "combined",
       "--base-target", "1"], 1, "error: targets[1].tonal_hz: combined-regime verification"),
+    (["ambiguity", "verify", str(COLLINEAR), "{csv}", "--regime", "bearing",
+      "--base-target", "1", "--tonal-i", "500", "-o", "{tmp}/x_certificate.json"],
+     1, "error: --tonal-i: targets[1] has no tonal_hz to compare it with"),
     (["ambiguity", "verify", str(DOPPLER_BASE), "{meets}"],
      2, "analysis error: trajectory meets the observer at t=0.0"),
 ], ids=["generate-target-9", "generate-target-minus-1", "verify-target-9",
         "verify-target-minus-1", "verify-missing-csv", "verify-doppler-without-tonal",
-        "verify-combined-without-tonal", "verify-meets-observer"])
+        "verify-combined-without-tonal", "verify-tonal-i-without-tonal",
+        "verify-meets-observer"])
 def test_bad_ambiguity_input_exits(tmp_path, capsys, argv, code, message):
     csv, meets = tmp_path / "candidate.csv", tmp_path / "meets.csv"
     csv.write_text(CANDIDATE)
@@ -362,3 +366,37 @@ def test_numerical_overflow_exits_two(tmp_path, capsys):
     argv = ["ambiguity", "verify", str(DOPPLER_BASE), str(csv), "--regime", "bearing"]
     assert run_cli(argv) == 2
     assert "analysis error: numerical overflow" in capsys.readouterr().err
+
+
+# Far from zero a short window rounds several grid nodes to one float time:
+# 1001 points on [1e16, 1e16 + 100] give 51 distinct times, and 1001 points on
+# [1e15, 1e15 + 10] give 81, although that file's own 11 points are distinct.
+REPEATED_TIMES = {"file": ({"start": 1e16, "end": 1e16 + 100, "points": 1001}, []),
+                  "flag": ({"start": 1e15, "end": 1e15 + 10, "points": 11},
+                           ["--grid-points", "1001"])}
+
+
+@pytest.mark.parametrize("route", sorted(REPEATED_TIMES))
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{scenario}", "-o", "{out}/history.csv"],
+    ["observability", "{scenario}", "-o", "{out}/report.json"],
+    ["estimate", "{scenario}", "-o", "{out}/estimate.json"],
+    ["ambiguity", "generate", "{scenario}", "--regime", "bearing", "-o", "{out}/pair"],
+    ["ambiguity", "generate", "{scenario}", "--regime", "doppler", "-o", "{out}/pair"],
+], ids=["simulate", "observability", "estimate", "generate-bearing", "generate-doppler"])
+def test_grid_with_repeated_float_times_rejected(tmp_path, capsys, route, argv):
+    time_block, flag = REPEATED_TIMES[route]
+    data = json.loads(DOPPLER_BASE.read_text())
+    data["time"] = time_block
+    path = tmp_path / "far_window.json"
+    path.write_text(json.dumps(data))
+    if flag:
+        scenario_io.load_scenario(path)  # the file's own grid is fine
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [a.replace("{scenario}", str(path)).replace("{out}", str(out)) for a in argv]
+    assert run_cli(argv + flag) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: time.points: 1001 points on ")
+    assert "distinct float times" in err
+    assert not list(out.iterdir())
