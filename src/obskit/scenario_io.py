@@ -99,39 +99,43 @@ class Scenario:
         return tuple(t.trajectory for t in self.targets)
 
 
-def _check_fields(scenario: Scenario) -> None:
-    """The invariants of the window, grid size, propagation speed and target list."""
+def _check_fields(scenario: Scenario, points_field: str = "time.points") -> None:
+    """The invariants of the window, grid size, propagation speed and target list.
+
+    Grid-size errors name ``points_field``, the field that set the grid size.
+    """
     if not scenario.t_end > scenario.t_start:
         raise ValidationError("time.end", f"must exceed time.start ({scenario.t_start})")
     if not math.isfinite(scenario.t_end - scenario.t_start):
         raise ValidationError("time.end", "the window length overflows a float")
     if scenario.grid_points < 2:
-        raise ValidationError("time.points", f"must be >= 2, got {scenario.grid_points}")
+        raise ValidationError(points_field, f"must be >= 2, got {scenario.grid_points}")
     if scenario.grid_points > MAX_GRID_POINTS:
         raise ValidationError(
-            "time.points", f"must be <= {MAX_GRID_POINTS}, got {scenario.grid_points}")
+            points_field, f"must be <= {MAX_GRID_POINTS}, got {scenario.grid_points}")
     if not scenario.c > 0:
         raise ValidationError("c", f"must be > 0 m/s, got {scenario.c}")
     if not scenario.targets:
         raise ValidationError("targets", "at least one target is required")
 
 
-def validate_scenario(scenario: Scenario) -> None:
+def validate_scenario(scenario: Scenario, points_field: str = "time.points") -> None:
     """Check every scenario invariant; raise ValidationError with a field path.
 
     The grid's float times must be strictly increasing: far from zero a
-    short window can round several nodes to one time. The kinematic check
+    short window can round several nodes to one time. Errors about the grid
+    name ``points_field``, the field that set its size. The kinematic check
     evaluates all targets in one ``relative_states`` pass and names the
     first target, in index order, that meets the observer or whose range
     or range rate overflows.
     """
-    _check_fields(scenario)
+    _check_fields(scenario, points_field)
     trajectories = scenario.target_trajectories()
     eps = scenario.tolerances.eps_range
     times = scenario.grid()
     if not np.all(np.diff(times) > 0):
         raise ValidationError(
-            "time.points", f"{scenario.grid_points} points on [{scenario.t_start}, "
+            points_field, f"{scenario.grid_points} points on [{scenario.t_start}, "
             f"{scenario.t_end}] give only {len(np.unique(times))} distinct float times")
     zero = None
     # Overflow shows as a non-finite range or range rate, checked below.
@@ -189,7 +193,9 @@ def scenario_from_dict(data: dict, grid_points: int | None = None) -> Scenario:
 
     ``grid_points``, if given, replaces ``time.points`` after the file's own
     fields are checked, so the kinematic check runs once, on the grid that
-    is analysed.
+    is analysed. Errors about that grid then name ``--grid-points``, the
+    command-line option that passes the override; errors about the file's
+    own ``time.points`` keep that name.
     """
     if not isinstance(data, dict):
         raise ValidationError("", "scenario file must contain a JSON object")
@@ -244,10 +250,12 @@ def scenario_from_dict(data: dict, grid_points: int | None = None) -> Scenario:
         observer=observer, targets=tuple(targets), t_start=t_start, t_end=t_end,
         grid_points=points, c=c, tolerances=tolerances,
     )
+    points_field = "time.points"
     if grid_points is not None:
         _check_fields(scenario)
         scenario = replace(scenario, grid_points=grid_points)
-    validate_scenario(scenario)
+        points_field = "--grid-points"
+    validate_scenario(scenario, points_field)
     return scenario
 
 

@@ -19,6 +19,7 @@ semigroup property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial
 from typing import Sequence
 
@@ -170,9 +171,12 @@ def relative_states(
     rows = sorted(range(len(stack)), key=lambda i: -orders[i])
     # Work arrays put the x/y axis first, so every operation runs along the times.
     # Coefficients are zero-padded to one column past the top order, so that
-    # term k + 1 can be sliced at every k.
-    coeffs = np.array([stack[i].coeffs + ((0.0, 0.0),) * (top + 1 - orders[i])
-                       for i in rows]).T.reshape((2, top + 2, len(rows)) + (1,) * times.ndim)
+    # term k + 1 can be sliced at every k, and read in one flat pass.
+    padded = chain.from_iterable(stack[i].coeffs + ((0.0, 0.0),) * (top + 1 - orders[i])
+                                 for i in rows)
+    coeffs = np.fromiter(chain.from_iterable(padded), float, 2 * (top + 2) * len(rows))
+    coeffs = coeffs.reshape(len(rows), top + 2, 2).T.reshape(
+        (2, top + 2, len(rows)) + (1,) * times.ndim)
     ref = np.array([stack[i].ref_time for i in rows])
     dt = times[np.newaxis] - ref.reshape((-1,) + (1,) * times.ndim)
     reach = [sum(p >= k for p in orders) for k in range(top + 2)]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from obskit import scenario_io
+from obskit import cli, scenario_io
 from obskit.cli import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -306,8 +306,7 @@ def test_bad_number_option_exits_one(tmp_path, capsys, command, option, value):
     argv = [a.replace("{out}", str(out)).replace("{csv}", str(csv))
             for a in COMMANDS[command]]
     assert run_cli([*argv, f"--{option}={value}"]) == 1
-    field = "time.points" if option == "grid-points" else f"--{option}"
-    assert f"error: {field}:" in capsys.readouterr().err
+    assert f"error: --{option}:" in capsys.readouterr().err
     assert not list(out.iterdir())
 
 
@@ -359,6 +358,74 @@ def test_benchmark_traced_names_resolve(monkeypatch):
             assert callable(getattr(importlib.import_module(module_name), attr))
 
 
+def _counting_build_parser(monkeypatch):
+    """Replace ``cli.build_parser`` by a wrapper; returns its list of calls."""
+    calls = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build_parser())
+    return calls
+
+
+def test_shared_parser_carries_no_state_between_commands(monkeypatch, capsys):
+    sequence = [["observability", str(OBSERVABLE), "--rank-tol", "1e-3"],
+                ["observability", str(OBSERVABLE)],
+                ["estimate", str(OBSERVABLE), "--grid-points", "61"],
+                ["estimate", str(OBSERVABLE)],
+                ["observability", str(OBSERVABLE), "--no-such-option"],
+                ["simulate", str(OBSERVABLE), "--grid-points", "3"],
+                ["--help"],
+                ["estimate", str(COLLINEAR)]]
+
+    def outcome(argv):
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(outcome(argv))
+    monkeypatch.setattr(cli, "_PARSER", None)
+    calls = _counting_build_parser(monkeypatch)
+    shared = [outcome(argv) for argv in sequence]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 1, 0, 0, 0]
+    assert calls == [1]
+    file_rank_tol = json.loads(OBSERVABLE.read_text())["tolerances"]["rank_tol"]
+    assert json.loads(shared[0][1])["rank_tol"] == 1e-3
+    assert json.loads(shared[1][1])["rank_tol"] == file_rank_tol
+
+
+def test_benchmark_trace_wrapper_stays_flat(monkeypatch):
+    # The traced benchmark wraps build_parser, and re-wraps parse_args on the
+    # parser each call returns: a cached factory would nest one more wrapper
+    # per build.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spans = importlib.import_module("spans")
+    for sites in spans.TRACED.values():
+        for module_name, attr in sites:
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, attr, getattr(module, attr))
+    monkeypatch.setattr(cli, "_PARSER", None)
+    builds = _counting_build_parser(monkeypatch)
+    tracer = spans.Tracer()
+    spans.install(tracer)
+
+    def parse_spans():
+        return [span for span in tracer.spans if span[0] == spans.PARSE]
+
+    argv = ["observability", str(OBSERVABLE)]
+    for _ in range(5):
+        assert run_cli(argv) == 0
+    assert len(builds) <= 1
+    assert len(parse_spans()) - len(builds) == 5
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert run_cli(argv) == 0
+    assert len(builds) == 2
+    for span in parse_spans():
+        assert span[4] is None or tracer.spans[span[4]][0] != spans.PARSE
+
+
 def test_numerical_overflow_exits_two(tmp_path, capsys):
     """A loadable candidate whose squared range overflows is an analysis error."""
     csv = tmp_path / "candidate.csv"
@@ -397,6 +464,7 @@ def test_grid_with_repeated_float_times_rejected(tmp_path, capsys, route, argv):
     argv = [a.replace("{scenario}", str(path)).replace("{out}", str(out)) for a in argv]
     assert run_cli(argv + flag) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: time.points: 1001 points on ")
+    field = "--grid-points" if flag else "time.points"
+    assert err.startswith(f"error: {field}: 1001 points on ")
     assert "distinct float times" in err
     assert not list(out.iterdir())
