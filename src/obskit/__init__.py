@@ -15,8 +15,7 @@ from .observability import (CollinearityEvent, ObservabilityReport, check_observ
 from .scenario_io import (Scenario, TargetConfig, Tolerances, load_scenario,
                           read_trajectory_csv, write_measurements_csv, write_trajectory_csv)
 from .trajectory import (PolynomialTrajectory, RelativeState, SampledTrajectory,
-                         propagate_ode, relative_state, state_from_trajectory,
-                         transition_matrix)
+                         propagate_ode, relative_state, state_from_trajectory)
 
 __version__ = "0.1.0"
 
@@ -30,6 +29,6 @@ __all__ = [
     "check_doppler_sufficiency", "check_observable", "cross_validate",
     "estimate_initial_state", "generate_bearing_ambiguous", "generate_doppler_ambiguous",
     "load_scenario", "measure_scenario", "propagate_ode", "read_trajectory_csv",
-    "relative_state", "report_text", "state_from_trajectory", "transition_matrix",
+    "relative_state", "report_text", "state_from_trajectory",
     "verify_ambiguity", "write_measurements_csv", "write_trajectory_csv",
 ]

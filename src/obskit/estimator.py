@@ -3,14 +3,14 @@
 The bearing line through the observer gives one linear constraint per time
 sample: cos(theta) x_t(t) - sin(theta) y_t(t) = cos(theta) x_ob(t) -
 sin(theta) y_ob(t), where (x_t, y_t) is the target's absolute position.
-Writing the target position through the transition matrix turns the stacked
-constraints into a least-squares system for the absolute initial state of
-each target, weighted by the square roots of the Gramian's quadrature
-weights. The observer terms supply the right-hand side; the homogeneous
-(relative-coordinate) form of the same operator, sqrt(W) A_i, is what the
-observability Gramian factorises. The estimator solves with the factors of
-one ``observability.gramian`` call and takes its verdict from the same call,
-so the two verdicts agree by construction.
+Writing the target position through its polynomial state turns the stacked
+constraints into a least-squares system A_i x = b_i for the absolute
+initial state of each target, weighted by the square roots of the Gramian's
+quadrature weights. The homogeneous (relative-coordinate) form of the same
+operator, sqrt(W) A_i, is what the observability Gramian factorises; one
+``observability.gramian`` call factorises sqrt(W) [A_i | b_i] and gives the
+verdict, and the estimator solves from those factors, so the two verdicts
+agree by construction.
 """
 
 from __future__ import annotations
@@ -34,18 +34,21 @@ class EstimateResult:
     """Recovered initial super state and its conditioning.
 
     Attributes:
-        uniqueness: "unique" when the Gramian's sigma ratio exceeds rank_tol
-            (the rank decision of ``check_observable``), else "degenerate".
+        uniqueness: "unique" when every target block's sigma ratio exceeds
+            rank_tol (the rank decision of ``check_observable``), else
+            "degenerate".
         x_initial_hat: Stacked per-target raw-derivative states
             [x, y, xdot, ydot, ...] at the history start time (absolute
             coordinates), length 2s.
         residual_norm: Euclidean norm of the stacked weighted least-squares
             residual sqrt(W) (A x - b).
-        condition_number: Condition number of the normal matrix (the
-            Gramian), (sigma_max / sigma_min)^2 of the stacked sqrt(W) A;
-            1 / sigma_ratio of the observability report, inf when singular.
+        condition_number: (sigma_max / sigma_min)^2 of the worst target
+            block in tau columns: 1 / sigma_ratio of the observability
+            report, inf when a block is singular.
         orders: Per-target polynomial orders the system was built with.
-        singular_values: Descending singular values of the stacked sqrt(W) A.
+        singular_values: Singular values of each target's sqrt(W) A_i in
+            tau columns (see ``observability.Gramian``), descending within
+            the block, blocks in target order.
         null_space: Unit direction of the least-observable combination when
             degenerate (embedded in the full 2s space), else None.
     """
@@ -69,10 +72,10 @@ def estimate_initial_state(
 ) -> EstimateResult:
     """Solve the stacked pseudo-linear system for the absolute initial states.
 
-    Each target's block is solved by SVD least squares from the factors of
+    Each target's block is solved by SVD least squares from its factors in
     ``observability.gramian``; directions whose singular value falls below
-    sqrt(rank_tol) * sigma_max are excluded, which yields the minimum-norm
-    solution on rank deficiency.
+    sqrt(rank_tol) times the block's largest are excluded, which yields the
+    minimum-norm solution (in tau columns) on rank deficiency.
 
     Raises:
         DegenerateSystem: If any target has fewer measurement rows than
@@ -81,24 +84,18 @@ def estimate_initial_state(
     if len(orders) != history.num_targets:
         raise ValueError(
             f"orders has {len(orders)} entries for {history.num_targets} targets")
-    times = history.times
     for i, p in enumerate(orders):
-        if len(times) < 2 * (p + 1):
+        if len(history.times) < 2 * (p + 1):
             raise DegenerateSystem(
-                f"target {i}: {len(times)} measurement rows for {2 * (p + 1)} unknowns")
+                f"target {i}: {len(history.times)} measurement rows for {2 * (p + 1)} unknowns")
 
-    g = gramian(history, orders, rank_tol)
-    cutoff = np.sqrt(rank_tol) * g.singular_values[0]
-    obs_x, obs_y = observer.eval(times).T
-    weighted_b = g.sqrt_weights * (np.cos(history.bearings) * obs_x
-                                   - np.sin(history.bearings) * obs_y)
+    g = gramian(observer, history, orders, rank_tol)
     solution = []
     residual_sq = 0.0
-    for (u, s, vt), b in zip(g.factors, weighted_b):
-        keep = s > cutoff
-        c = np.where(keep, u.T @ b, 0.0)
-        solution.append(vt.T @ (c / np.where(keep, s, 1.0)))
-        residual_sq += float(np.sum((u @ c - b) ** 2))
+    for s, vt, c, rho in g.factors:
+        keep = s > np.sqrt(rank_tol) * s[0]
+        solution.append(g.physical(vt.T @ np.where(keep, c / np.where(keep, s, 1.0), 0.0)))
+        residual_sq += rho ** 2 + float(np.sum(c[~keep] ** 2))
 
     return EstimateResult(
         x_initial_hat=np.concatenate(solution),

@@ -104,40 +104,32 @@ def doppler(f0: float | np.ndarray, range_rate: float | np.ndarray,
     return f0 * (1.0 - range_rate / c)
 
 
-def pseudo_row(theta: float, p: int) -> np.ndarray:
-    """Pseudo-linear measurement row [cos(theta), -sin(theta), 0, ..., 0].
-
-    Length 2(p + 1); the trailing zeros blank out the derivative entries of
-    the order-p state, so the row annihilates the true relative state.
-    """
-    if p < 0:
-        raise ValueError(f"polynomial order must be >= 0, got {p}")
-    row = np.zeros(2 * (p + 1))
-    row[0] = np.cos(theta)
-    row[1] = -np.sin(theta)
-    return row
-
-
 def design_matrix(thetas: np.ndarray, times: np.ndarray, t0: float, p: int) -> np.ndarray:
-    """Pseudo-linear design matrix of one order-p target over a time grid.
+    """Pseudo-linear design matrices of order-p targets over a time grid.
 
-    Row k is pseudo_row(theta_k, p) @ transition_matrix(p, t_k, t0), i.e.
-    [1, dt, dt^2/2!, ..., dt^p/p!] (x) [cos theta_k, -sin theta_k] with
-    dt = t_k - t0, matching the state order [x, y, xdot, ydot, ...]; shape
-    (N, 2(p + 1)). It maps the target's initial raw-derivative state to the
-    pseudo-linear measurements cos(theta) x(t_k) - sin(theta) y(t_k).
+    ``thetas`` holds one bearing per grid instant, (N,) for one target or
+    (k, N) for k targets stacked; the result has shape (..., N, 2(p + 1)).
+    Row n is [1, dt, dt^2/2!, ..., dt^p/p!] (x) [cos theta_n, -sin theta_n]
+    with dt = t_n - t0, matching the state order [x, y, xdot, ydot, ...]. It
+    maps a target's raw-derivative state at t0 to the pseudo-linear
+    measurement cos(theta_n) x(t_n) - sin(theta_n) y(t_n), which is zero for
+    the target's true position relative to the observer.
     """
     if p < 0:
         raise ValueError(f"polynomial order must be >= 0, got {p}")
     thetas = np.asarray(thetas, dtype=float)
     dt = np.asarray(times, dtype=float) - t0
-    powers = np.empty((len(dt), p + 1))
+    powers = np.empty((p + 1, len(dt)))
     power = np.ones_like(dt)
     for j in range(p + 1):
-        powers[:, j] = power / factorial(j)
+        powers[j] = power / factorial(j)
         power = power * dt
-    row = np.column_stack([np.cos(thetas), -np.sin(thetas)])
-    return (powers[:, :, None] * row[:, None, :]).reshape(len(dt), 2 * (p + 1))
+    # Built with the grid axis last, so every product runs along N; the
+    # result is the transposed view.
+    out = np.empty(thetas.shape[:-1] + (p + 1, 2, len(dt)))
+    np.multiply(np.cos(thetas)[..., None, :], powers, out=out[..., 0, :])
+    np.multiply(-np.sin(thetas)[..., None, :], powers, out=out[..., 1, :])
+    return out.reshape(*thetas.shape[:-1], 2 * (p + 1), len(dt)).swapaxes(-1, -2)
 
 
 def measure_scenario(scenario: "Scenario") -> MeasurementHistory:

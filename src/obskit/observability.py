@@ -5,12 +5,15 @@ All of it comes from one measurement pass over the scenario grid. The
 Gramian integrates Phi^T C^T C Phi over the window with quadrature weights W
 on that grid. C places each target's pseudo-linear bearing row in its own
 block, so the Gramian is block-diagonal: block i is A_i^T W A_i, with A_i the
-target's design matrix on the grid. ``gramian`` holds it as the SVD of each
-sqrt(W) A_i together with the one verdict that both ``check_observable`` and
-``estimator.estimate_initial_state`` use: observable when the ratio of the
-extreme squared singular values exceeds ``rank_tol``. Per-target block
-conditioning is reported. The geometric criterion (all bearings distinct
-modulo pi) is a separate diagnostic: it does not capture single-target
+target's design matrix on the grid. ``gramian`` holds each block through the
+R factor of sqrt(W) [A_i | b_i], b_i the observer's pseudo-linear
+measurement and the columns in tau = (t - t0) / T for the window length T,
+together with the one verdict that both ``check_observable`` and
+``estimator.estimate_initial_state`` use: observable when every target's
+block has a ratio of extreme squared singular values above ``rank_tol``.
+The verdict is about each target's own state, and in tau it does not depend
+on the time unit. The geometric criterion (all bearings distinct modulo pi)
+is a separate diagnostic: it does not capture single-target
 unobservability and is therefore never folded into the rank decision.
 """
 
@@ -23,6 +26,7 @@ import numpy as np
 
 from .measurement import MeasurementHistory, design_matrix, measure_scenario
 from .scenario_io import Scenario, Tolerances, fields_dict
+from .trajectory import PolynomialTrajectory
 
 OBSERVABLE = "observable"
 UNOBSERVABLE = "unobservable"
@@ -43,22 +47,26 @@ class ObservabilityReport:
     """Gramian spectrum, rank decision, and bearing-separation diagnostics.
 
     Attributes:
-        rank_decision: "observable" when sigma_min/sigma_max > rank_tol.
-        sigma_ratio: sigma_min / sigma_max (0 for a zero Gramian).
+        rank_decision: "observable" when every per-target ratio exceeds rank_tol.
+        sigma_ratio: The worst target block's sigma_min^2 / sigma_max^2: the
+            smallest of ``per_target_sigma_ratios``.
         rank_tol: Threshold the decision was made at.
-        singular_values: Descending singular values of the Gramian, the
-            squared singular values of every target's sqrt(W) A_i.
+        singular_values: Each target block's spectrum in tau columns (the
+            squared singular values of sqrt(W) A_i S^-1, see ``Gramian``),
+            descending within the block, blocks in target order.
         null_space: Unit direction invisible to the measurements when
-            unobservable (right singular vector of sigma_min in the weakest
-            target's block, embedded in the 2s space), else None.
-        per_target_sigma_ratios: Conditioning of each target's own block.
+            unobservable, else None: the last right singular vector of the
+            block with the smallest ratio, in physical coordinates, embedded
+            in the 2s space.
+        per_target_sigma_ratios: sigma_min^2 / sigma_max^2 of each target's
+            own block, in tau columns (0 for a zero block).
         orders: Per-target polynomial orders the Gramian was built with.
         min_pairwise_separation: Minimum over time and pairs of the bearing
             distance modulo pi; None for single-target scenarios.
         argmin_pair / argmin_time: Where that minimum is attained.
         collinearity_events: Maximal subintervals below collinearity_tol.
-        gramian: Per-target diagonal blocks A_i^T W A_i of the Gramian; the
-            off-diagonal blocks are zero by construction.
+        gramian: Per-target diagonal blocks A_i^T W A_i of the Gramian, in
+            physical units; the off-diagonal blocks are zero by construction.
     """
 
     rank_decision: str
@@ -109,66 +117,102 @@ def _simpson_weights(nodes: int, h: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Gramian:
-    """Block-diagonal observability Gramian, held as one SVD per target, and its verdict.
+    """Block-diagonal observability Gramian, one R factor per target, and its verdict.
 
-    ``factors[i]`` is (u, s, vt) with u diag(s) vt = sqrt(W) A_i, W the
-    quadrature weights (``sqrt_weights ** 2``). s is descending with one entry
-    per unknown: on a grid with fewer nodes, it is zero-padded and vt square.
+    Columns are in tau = (t - t0) / T, T = ``scale`` the window length (1 for
+    a zero-length window): A_i S^-1 with S = diag(T^k), k each column's
+    derivative. ``factors[i]`` is (s, vt, c, rho) from the R factor of
+    sqrt(W) [A_i S^-1 | b_i]: u diag(s) vt is its left n x n block (s
+    descending, zero-padded on a grid with fewer nodes than unknowns),
+    c = u^T Q^T sqrt(W) b_i, and rho = |R[n, n]| the residual of b_i.
     """
 
-    sqrt_weights: np.ndarray
-    factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    observable: bool  # sigma_ratio > rank_tol
-    sigma_ratio: float  # min s^2 / max s^2 over all blocks, 0 for a zero Gramian
-    singular_values: np.ndarray  # every block's s, descending: those of the stacked sqrt(W) A
-    per_target_sigma_ratios: tuple[float, ...]  # min s^2 / max s^2 within each block
-    null_space: np.ndarray | None  # weakest block's last right singular vector, in 2s space
+    scale: float
+    factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], ...]
+    per_target_sigma_ratios: tuple[float, ...]  # min s^2 / max s^2 per block, 0 if zero
+    observable: bool  # every per-target ratio > rank_tol
+
+    @property
+    def sigma_ratio(self) -> float:  # the worst block's
+        return min(self.per_target_sigma_ratios)
+
+    @property
+    def singular_values(self) -> np.ndarray:  # each block's s, in target order
+        return np.concatenate([s for s, *_ in self.factors])
+
+    @property
+    def null_space(self) -> np.ndarray | None:
+        """None when observable; else the last right singular vector of the block
+        with the smallest ratio (first on ties), physical, unit norm, in 2s space."""
+        if self.observable:
+            return None
+        worst = int(np.argmin(self.per_target_sigma_ratios))
+        v = self.physical(self.factors[worst][1][-1])
+        return np.concatenate([v / np.linalg.norm(v) if i == worst else np.zeros(len(s))
+                               for i, (s, *_) in enumerate(self.factors)])
+
+    def _column_scales(self, n: int) -> np.ndarray:
+        return self.scale ** (np.arange(n) // 2)  # the diagonal of S
+
+    def physical(self, state: np.ndarray) -> np.ndarray:
+        """One target's state from tau columns to raw derivatives in seconds: S^-1 state."""
+        return state / self._column_scales(len(state))
 
     def blocks(self) -> tuple[np.ndarray, ...]:
-        """Diagonal blocks A_i^T W A_i = vt^T diag(s^2) vt, symmetrized."""
-        blocks = [(vt.T * s ** 2) @ vt for _, s, vt in self.factors]
-        return tuple(0.5 * (block + block.T) for block in blocks)
+        """Diagonal blocks A_i^T W A_i = S vt^T diag(s^2) vt S, symmetrized."""
+        blocks = []
+        for s, vt, *_ in self.factors:
+            d = self._column_scales(len(s))
+            block = d[:, None] * ((vt.T * s ** 2) @ vt) * d
+            blocks.append(0.5 * (block + block.T))
+        return tuple(blocks)
 
 
-def gramian(history: MeasurementHistory, orders: Sequence[int],
-            rank_tol: float = Tolerances.rank_tol) -> Gramian:
+def gramian(observer: PolynomialTrajectory, history: MeasurementHistory,
+            orders: Sequence[int], rank_tol: float = Tolerances.rank_tol) -> Gramian:
     """Quadrature observability Gramian on the history's grid, factorised per target.
 
-    Integrates Phi^T C^T C Phi over the uniform grid of ``history`` with the
-    weights W of ``_simpson_weights``: target i, of order ``orders[i]``, gives
-    the diagonal block A_i^T W A_i of its design matrix A_i, kept as the SVD of
-    sqrt(W) A_i. A zero-length window gives zero singular values. The verdict
-    is the one ``check_observable`` reports and ``estimate_initial_state``
-    solves by; the null direction, given only when not observable, belongs to
-    the smallest singular value (the first block on ties).
+    Target i, of order ``orders[i]``, gives the block A_i^T W A_i, W the
+    weights of ``_simpson_weights``. The targets of one order share one QR
+    (R factor only) and one SVD of the small R blocks (see ``Gramian``). A
+    zero-length window gives zero singular values. The verdict, the one
+    ``check_observable`` reports and ``estimate_initial_state`` solves by, is
+    observable when every block's ratio exceeds ``rank_tol``; in tau it does
+    not depend on the time unit.
 
     Raises:
-        ValueError: For fewer than 2 grid nodes.
+        ValueError: For fewer than 2 grid nodes, or not one order per target.
     """
     times = history.times
     nodes = len(times)
     if nodes < 2:
         raise ValueError(f"the Gramian needs at least 2 grid nodes, got {nodes}")
-    sqrt_w = np.sqrt(_simpson_weights(nodes, (times[-1] - times[0]) / (nodes - 1)))
-    factors = []
-    for thetas, p in zip(history.bearings, orders, strict=True):
-        missing = 2 * (p + 1) - nodes
-        u, s, vt = np.linalg.svd(sqrt_w[:, None] * design_matrix(thetas, times, times[0], p),
-                                 full_matrices=missing > 0)
-        if missing > 0:  # the thin SVD leaves out the zero singular values
-            s = np.concatenate([s, np.zeros(missing)])
-        factors.append((u, s, vt))
-    per_block = [s for _, s, _ in factors]
-    svals = np.sort(np.concatenate(per_block))[::-1]
-    ratio, *block_ratios = [float((s[-1] / s[0]) ** 2) if s[0] > 0 else 0.0
-                            for s in (svals, *per_block)]
-    null_space = None
-    if not ratio > rank_tol:
-        weakest = int(np.argmin([s[-1] for s in per_block]))
-        null_space = np.concatenate([vt[-1] if i == weakest else np.zeros(len(vt))
-                                     for i, (_, _, vt) in enumerate(factors)])
-    return Gramian(sqrt_w, tuple(factors), ratio > rank_tol, ratio, svals,
-                   tuple(block_ratios), null_space)
+    if len(orders) != history.num_targets:
+        raise ValueError(
+            f"orders has {len(orders)} entries for {history.num_targets} targets")
+    span = times[-1] - times[0]
+    scale = span if span > 0 else 1.0
+    sqrt_w = np.sqrt(_simpson_weights(nodes, span / (nodes - 1)))[:, None]
+    observer_xy = observer.eval(times)
+    tau = (times - times[0]) / scale
+    factors: list = [None] * len(orders)
+    for p in sorted(set(orders)):
+        n = 2 * (p + 1)
+        rows = [i for i, q in enumerate(orders) if q == p]
+        a = design_matrix(history.bearings[rows], tau, 0.0, p)
+        # Columns 0 and 1 are (cos, -sin): b is the observer's pseudo-linear measurement.
+        b = a[:, :, 0] * observer_xy[:, 0] + a[:, :, 1] * observer_xy[:, 1]
+        system = np.concatenate([a, b[:, :, None]], axis=2)
+        system *= sqrt_w
+        r = np.linalg.qr(system, mode="r")
+        if nodes < n + 1:  # fewer rows than columns: pad R to square
+            r = np.concatenate([r, np.zeros((len(rows), n + 1 - nodes, n + 1))], axis=1)
+        u, s, vt = np.linalg.svd(r[:, :n, :n])
+        c = np.einsum("kji,kj->ki", u, r[:, :n, n])
+        for i, s_i, vt_i, c_i, rho in zip(rows, s, vt, c, np.abs(r[:, n, n]).tolist()):
+            factors[i] = (s_i, vt_i, c_i, rho)
+    ratios = tuple(float((s[-1] / s[0]) ** 2) if s[0] > 0 else 0.0 for s, *_ in factors)
+    return Gramian(scale, tuple(factors), ratios, min(ratios) > rank_tol)
 
 
 def _partner_separations(history: MeasurementHistory) -> Iterator[tuple[int, np.ndarray]]:
@@ -231,7 +275,7 @@ def check_observable(scenario: Scenario, rank_tol: float | None = None) -> Obser
         rank_tol = scenario.tolerances.rank_tol
     orders = scenario.effective_orders()
     history = measure_scenario(scenario)
-    g = gramian(history, orders, rank_tol)
+    g = gramian(scenario.observer, history, orders, rank_tol)
 
     min_sep = argmin_pair = argmin_time = None
     events: tuple[CollinearityEvent, ...] = ()
@@ -260,8 +304,10 @@ def report_text(report: ObservabilityReport) -> str:
     """Human-readable summary of an observability report."""
     lines = [
         f"rank decision: {report.rank_decision} "
-        f"(sigma_min/sigma_max = {report.sigma_ratio:.3e}, tol {report.rank_tol:.1e})",
-        "per-target block sigma ratios: "
+        f"(worst target block sigma_min^2/sigma_max^2 = {report.sigma_ratio:.3e} "
+        f"(target {int(np.argmin(report.per_target_sigma_ratios))}), "
+        f"tol {report.rank_tol:.1e})",
+        "per-target block sigma_min^2/sigma_max^2: "
         + ", ".join(f"{r:.3e}" for r in report.per_target_sigma_ratios),
     ]
     if report.min_pairwise_separation is not None:

@@ -15,11 +15,11 @@ from .ambiguity import (DopplerAmbiguitySpec, check_combined_condition,
                         default_doppler_tolerance, generate_bearing_ambiguous,
                         generate_doppler_ambiguous, verify_ambiguity)
 from .estimator import estimate_initial_state
-from .measurement import DEFAULT_SOUND_SPEED, measure_scenario
+from .measurement import DEFAULT_SOUND_SPEED, design_matrix, measure_scenario
 from .observability import OBSERVABLE, check_observable
 from .scenario_io import Scenario, TargetConfig
 from .trajectory import (PolynomialTrajectory, propagate_ode, relative_state,
-                         relative_states, state_from_trajectory, transition_matrix)
+                         relative_states, state_from_trajectory, trajectory_from_state)
 
 # Magnitude of the k-th polynomial coefficient of random trajectories.
 # Velocity/acceleration/jerk scales keep observer maneuvers strong relative
@@ -149,36 +149,32 @@ def random_alpha(rng: np.random.Generator, t0: float = 0.0):
 
 
 def stacked_sigma_ratio(scenario: Scenario) -> float:
-    """Squared singular-value ratio of the plainly stacked measurement rows.
+    """Worst per-target squared singular-value ratio of the plainly stacked rows.
 
-    Builds the rows directly from cos/sin and powers of elapsed time (no
-    quadrature, no shared matrix assembly), making it an independent check
-    of the Gramian-based decision. The stacked-matrix ratio is squared so
-    it compares at the Gramian's rank_tol scale.
+    Builds each target's rows directly from cos/sin and powers of the
+    normalised time tau = (t - t0) / T, T the window length (no quadrature,
+    no shared matrix assembly), making it an independent check of the
+    Gramian-based decision. Each target's ratio is squared so it compares
+    at the Gramian's rank_tol scale; the smallest one is returned.
     """
     times = scenario.grid()
     t0 = scenario.t_start
-    orders = scenario.effective_orders()
-    widths = [2 * (p + 1) for p in orders]
-    total = sum(widths)
-    rows = []
-    for t in times:
-        at = 0
-        for traj, p, width in zip(scenario.target_trajectories(), orders, widths):
+    span = scenario.t_end - t0
+    scale = span if span > 0 else 1.0
+    worst = np.inf
+    for traj, p in zip(scenario.target_trajectories(), scenario.effective_orders()):
+        rows = []
+        for t in times:
             rel = traj.eval(t) - scenario.observer.eval(t)
             theta = np.arctan2(rel[0], rel[1])
-            row = np.zeros(total)
-            for j in range(p + 1):
-                power = (t - t0) ** j / factorial(j)
-                row[at + 2 * j] = np.cos(theta) * power
-                row[at + 2 * j + 1] = -np.sin(theta) * power
-            rows.append(row)
-            at += width
-    svals = np.linalg.svd(np.array(rows), compute_uv=False)
-    # With fewer rows than unknowns, svd omits the zero singular values.
-    if svals[0] == 0 or len(rows) < total:
-        return 0.0
-    return float((svals[-1] / svals[0]) ** 2)
+            rows.append([f * ((t - t0) / scale) ** j / factorial(j)
+                         for j in range(p + 1) for f in (np.cos(theta), -np.sin(theta))])
+        svals = np.linalg.svd(np.array(rows), compute_uv=False)
+        # With fewer rows than unknowns, svd omits the zero singular values.
+        if svals[0] == 0 or len(rows) < 2 * (p + 1):
+            return 0.0
+        worst = min(worst, float((svals[-1] / svals[0]) ** 2))
+    return worst
 
 
 def stacked_rank_observable(scenario: Scenario, rank_tol: float | None = None) -> bool:
@@ -210,22 +206,31 @@ def random_rank_scenario_conditioned(
 
 def transition_suite(rng: np.random.Generator, states_per_order: int = 100,
                      max_order: int = 5, steps: int = 400):
-    """Max relative RK4 mismatch and max semigroup defect over random draws."""
+    """Max relative mismatches of ``design_matrix`` rows over random draws.
+
+    A row at (theta, t) applied to a random state x at t0 must give the
+    pseudo-linear measurement cos(theta) x(t) - sin(theta) y(t). The first
+    figure takes the position at t from RK4 (``propagate_ode``); the second
+    is the semigroup defect: the row from t0 against the row from t1 applied
+    to the exact state at t1. Both are relative to |x|.
+    """
     max_rel = 0.0
     max_semi = 0.0
     for p in range(max_order + 1):
         n = 2 * (p + 1)
         for _ in range(states_per_order):
             x = rng.normal(scale=10.0, size=n)
+            theta = rng.uniform(-np.pi, np.pi, size=1)
             t_span = rng.uniform(0.3, 3.0)
-            closed = transition_matrix(p, t_span, 0.0) @ x
+            closed = design_matrix(theta, [t_span], 0.0, p)[0] @ x
             stepped = propagate_ode(x, 0.0, t_span, steps)
-            max_rel = max(max_rel, float(
-                np.linalg.norm(closed - stepped) / np.linalg.norm(x)))
+            measured = np.cos(theta[0]) * stepped[0] - np.sin(theta[0]) * stepped[1]
+            max_rel = max(max_rel, abs(closed - measured) / float(np.linalg.norm(x)))
             t0, t1, t2 = np.sort(rng.uniform(0.0, 3.0, size=3))
-            defect = (transition_matrix(p, t2, t0)
-                      - transition_matrix(p, t2, t1) @ transition_matrix(p, t1, t0))
-            max_semi = max(max_semi, float(np.max(np.abs(defect))))
+            x1 = state_from_trajectory(trajectory_from_state(x, t0), t1, p)
+            defect = (design_matrix(theta, [t2], t0, p)[0] @ x
+                      - design_matrix(theta, [t2], t1, p)[0] @ x1)
+            max_semi = max(max_semi, abs(defect) / float(np.linalg.norm(x)))
     return max_rel, max_semi
 
 
@@ -326,7 +331,7 @@ def run_selftest(seed: int = 0, out: TextIO | None = None) -> int:
 
     max_rel, max_semi = transition_suite(
         np.random.default_rng(seeds[0]), states_per_order=20)
-    results.append(("transition matrix vs RK4",
+    results.append(("design matrix vs RK4",
                     max_rel < 1e-8 and max_semi < 1e-12,
                     f"rel err {max_rel:.2e}, semigroup defect {max_semi:.2e}"))
 

@@ -1,4 +1,4 @@
-"""Planar polynomial trajectories, relative kinematics, and state transition matrices.
+"""Planar polynomial trajectories, relative kinematics, and an RK4 propagation oracle.
 
 ``PolynomialTrajectory.eval`` and ``relative_states`` are the grid kernel:
 each takes a scalar time or a 1-D array of times, and the scalar case is the
@@ -11,9 +11,9 @@ A trajectory is a polynomial in time about a reference instant,
 ``pos(t) = sum_k a_k (t - ref_time)^k`` with 2-vector coefficients ``a_k``.
 The matching state vector stacks raw derivatives per target,
 ``[x, y, xdot, ydot, ..., x^(p), y^(p)]``, so that ``a_k = x^(k)/k!``.
-The transition matrix carries the ``1/k!`` factors, which makes it the
-exact matrix exponential of the chain-integrator dynamics and gives it the
-semigroup property.
+``propagate_ode`` integrates the chain-integrator dynamics of that state
+numerically; it is the independent check of the closed-form propagation
+``(t - t0)^k / k!`` that ``measurement.design_matrix`` builds in.
 """
 
 from __future__ import annotations
@@ -227,30 +227,12 @@ def relative_state(
                          range=state.range[0], range_rate=state.range_rate[0])
 
 
-def transition_matrix(p: int, t: float, t_i: float) -> np.ndarray:
-    """Transition matrix for a single order-p target.
-
-    Maps the raw-derivative state at t_i to the state at t; it is the
-    identity at t = t_i and satisfies Phi(t2, t0) = Phi(t2, t1) @ Phi(t1, t0).
-    Block (k, j) for j >= k is (t - t_i)^(j-k) / (j-k)! * I_2, so the top
-    block row carries the factors 1, dt, dt^2/2!, ... of the polynomial
-    evaluation, and the matrix is the exponential of the shift dynamics.
-    """
-    if p < 0:
-        raise ValueError(f"polynomial order must be >= 0, got {p}")
-    dt = float(t) - float(t_i)
-    upper = np.zeros((p + 1, p + 1))
-    for k in range(p + 1):
-        for j in range(k, p + 1):
-            upper[k, j] = dt ** (j - k) / factorial(j - k)
-    return np.kron(upper, np.eye(2))
-
-
 def propagate_ode(x_initial: np.ndarray, t_i: float, t_f: float, steps: int) -> np.ndarray:
     """Fixed-step RK4 propagation of the chain-integrator state.
 
-    Serves as the independent numerical oracle for ``transition_matrix``:
-    exact (to roundoff) for orders <= 4, O(h^4)-accurate above.
+    Serves as the independent numerical oracle for the polynomial
+    propagation in ``measurement.design_matrix``: exact (to roundoff) for
+    orders <= 4, O(h^4)-accurate above.
 
     Args:
         x_initial: Raw-derivative state of even length 2(p + 1).

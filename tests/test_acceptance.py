@@ -16,13 +16,13 @@ from obskit import (PolynomialTrajectory, Scenario, TargetConfig, Tolerances,
 from obskit.ambiguity import AMBIGUOUS, COMBINED, DopplerAmbiguitySpec
 from obskit.cli import run_cli
 from obskit.estimator import DEGENERATE, UNIQUE, split_state
-from obskit.measurement import pseudo_row
 from obskit.observability import OBSERVABLE, UNOBSERVABLE
 from obskit.selftest import (random_alpha, random_doppler_spec, random_observer,
                              random_polynomial, random_rank_scenario_conditioned,
                              random_scenario, stacked_rank_observable,
                              transition_suite)
-from obskit.trajectory import transition_matrix
+
+from oracles import pseudo_row, transition_matrix
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

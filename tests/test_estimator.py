@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from obskit.errors import DegenerateSystem
 from obskit.estimator import (DEGENERATE, UNIQUE, cross_validate,
                               estimate_initial_state, split_state)
-from obskit.measurement import (MeasurementHistory, angular_difference, measure_scenario,
-                                wrap_angle)
-from obskit.observability import OBSERVABLE, check_observable
+from obskit.measurement import (MeasurementHistory, angular_difference, design_matrix,
+                                measure_scenario, wrap_angle)
+from obskit.observability import OBSERVABLE, _simpson_weights, check_observable
 from obskit.scenario_io import Scenario, TargetConfig
 from obskit.selftest import (collinear_scenario, random_rank_scenario,
                              random_rank_scenario_conditioned, random_scenario)
@@ -86,6 +87,37 @@ class TestEstimateInitialState:
         assert err < 1e-9
 
 
+    @pytest.mark.parametrize("make, noise, uniqueness", [
+        (maneuvering_static_target_scenario, 1e-3, UNIQUE),
+        (lambda: collinear_scenario(np.random.default_rng(5)), 1e-7, DEGENERATE),
+    ])
+    def test_residual_norm_is_the_weighted_residual(self, make, noise, uniqueness):
+        # Noisy bearings leave a nonzero residual. The figure read off the R
+        # factor equals sqrt(W) (A x - b) formed directly, both for a unique
+        # solve and for a degenerate one with dropped directions.
+        scenario = make()
+        clean = measure_scenario(scenario)
+        rng = np.random.default_rng(17)
+        history = replace(clean, bearings=clean.bearings
+                          + noise * rng.standard_normal(clean.bearings.shape))
+        result = estimate_initial_state(scenario.observer, history,
+                                        list(scenario.effective_orders()))
+        assert result.uniqueness == uniqueness
+        times = history.times
+        sqrt_w = np.sqrt(_simpson_weights(len(times), (times[-1] - times[0])
+                                          / (len(times) - 1)))
+        observer = scenario.observer.eval(times)
+        residual = [
+            sqrt_w * (design_matrix(thetas, times, times[0], p) @ part
+                      - (np.cos(thetas) * observer[:, 0] - np.sin(thetas) * observer[:, 1]))
+            for thetas, part, p in zip(history.bearings,
+                                       split_state(result.x_initial_hat, result.orders),
+                                       result.orders)]
+        assert result.residual_norm > 1e-6
+        assert result.residual_norm == pytest.approx(
+            np.linalg.norm(np.concatenate(residual)), rel=1e-6)
+
+
 class TestCrossValidate:
     def test_unique_recovery_replays_exactly(self):
         scenario = maneuvering_static_target_scenario()
@@ -147,14 +179,15 @@ class TestVerdictConsistency:
             assert (result.uniqueness == UNIQUE) == (report.rank_decision == OBSERVABLE)
 
     def test_verdicts_agree_just_below_rank_tol(self):
-        # Three targets of orders 0, 1 and 2 on a 22-point grid: the Gramian
-        # ratio, 9.3e-9, lies below rank_tol, while the squared singular-value
-        # ratio of the unweighted design matrices, 1.1e-8, lies above it.
+        # Three targets of orders 1, 2 and 0 on a 25-point grid: the worst
+        # target block's Gramian ratio, 8.2e-9, lies below rank_tol, while the
+        # squared singular-value ratio of that target's unweighted design
+        # matrix, 1.1e-8, lies above it.
         rng = np.random.default_rng(3)
-        for _ in range(31):
+        for _ in range(36):
             scenario = random_scenario(rng, m_targets=3, target_order_max=2,
                                        grid_points=int(rng.integers(2, 60)))
-        assert scenario.effective_orders() == (0, 1, 2)
+        assert scenario.effective_orders() == (1, 2, 0)
         report = check_observable(scenario)
         result = estimate(scenario)
         assert report.sigma_ratio < scenario.tolerances.rank_tol

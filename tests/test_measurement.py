@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from obskit.errors import ZeroRange
 from obskit.measurement import (MeasurementHistory, Tonal, angular_difference,
                                 bearing, design_matrix, doppler, measure_scenario,
-                                pseudo_row, wrap_angle)
+                                wrap_angle)
 from obskit.scenario_io import Scenario, TargetConfig, write_measurements_csv
 from obskit.selftest import random_scenario
-from obskit.trajectory import (PolynomialTrajectory, RelativeState, relative_state,
-                               transition_matrix)
+from obskit.trajectory import PolynomialTrajectory, RelativeState, relative_state
+
+from oracles import pseudo_row, transition_matrix
 
 
 def rel(x, y, vx=0.0, vy=0.0):
@@ -106,6 +107,15 @@ class TestDesignMatrix:
                              for theta, t in zip(thetas, times)])
         assert A.shape == (101, 2 * (p + 1))
         assert np.allclose(A, expected, rtol=1e-14, atol=0)
+
+    def test_stacked_thetas_equal_one_target_at_a_time(self):
+        rng = np.random.default_rng(47)
+        times = np.linspace(0.0, 1.0, 31)
+        thetas = rng.uniform(-np.pi, np.pi, size=(3, 31))
+        stacked = design_matrix(thetas, times, 0.0, 2)
+        assert stacked.shape == (3, 31, 6)
+        for block, row_thetas in zip(stacked, thetas):
+            assert np.array_equal(block, design_matrix(row_thetas, times, 0.0, 2))
 
 
 def static_scenario():

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from obskit.errors import DegenerateSystem
 from obskit.estimator import estimate_initial_state, split_state
-from obskit.measurement import (MeasurementHistory, design_matrix, measure_scenario,
-                                pseudo_row)
+from obskit.measurement import MeasurementHistory, design_matrix, measure_scenario
 from obskit.observability import (OBSERVABLE, UNOBSERVABLE, CollinearityEvent,
                                   _simpson_weights, bearing_separation_mod_pi,
                                   check_observable, detect_collinearity, gramian,
@@ -17,7 +16,9 @@ from obskit.observability import (OBSERVABLE, UNOBSERVABLE, CollinearityEvent,
 from obskit.scenario_io import Scenario, TargetConfig
 from obskit.selftest import (collinear_scenario, random_rank_scenario_conditioned,
                              random_scenario, stacked_rank_observable)
-from obskit.trajectory import PolynomialTrajectory, transition_matrix
+from obskit.trajectory import PolynomialTrajectory
+
+from oracles import pseudo_row, transition_matrix
 
 
 def single_static_scenario(x=300.0, y=400.0, window=10.0):
@@ -52,7 +53,8 @@ class TestGramian:
         scenario = single_static_scenario()
         theta = np.arctan2(300.0, 400.0)
         v = np.array([np.cos(theta), -np.sin(theta)])
-        (G,) = gramian(measure_scenario(scenario), scenario.effective_orders()).blocks()
+        (G,) = gramian(scenario.observer, measure_scenario(scenario),
+                       scenario.effective_orders()).blocks()
         assert np.allclose(G, 10.0 * np.outer(v, v), rtol=1e-12)
         svals = np.linalg.svd(G, compute_uv=False)
         assert svals[0] == pytest.approx(10.0)
@@ -69,7 +71,7 @@ class TestGramian:
             orders = scenario.effective_orders()
             times = history.times
             w = _simpson_weights(nodes, (times[-1] - times[0]) / (nodes - 1))
-            for block, thetas, p in zip(gramian(history, orders).blocks(),
+            for block, thetas, p in zip(gramian(scenario.observer, history, orders).blocks(),
                                         history.bearings, orders):
                 A = design_matrix(thetas, times, times[0], p)
                 direct = A.T @ (w[:, None] * A)
@@ -82,7 +84,7 @@ class TestGramian:
             targets=(TargetConfig(PolynomialTrajectory(0.0, ((10.0, 10.0),))),),
             t_start=0.0, t_end=0.0, grid_points=5,
         )
-        g = gramian(measure_scenario(scenario), scenario.effective_orders())
+        g = gramian(scenario.observer, measure_scenario(scenario), scenario.effective_orders())
         assert np.array_equal(g.blocks(), np.zeros((1, 2, 2)))
 
     def test_two_constant_bearing_targets_stay_block_rank_deficient(self):
@@ -97,7 +99,8 @@ class TestGramian:
             ),
             t_start=0.0, t_end=8.0, grid_points=9,
         )
-        blocks = gramian(measure_scenario(scenario), scenario.effective_orders()).blocks()
+        blocks = gramian(scenario.observer, measure_scenario(scenario),
+                         scenario.effective_orders()).blocks()
         thetas = [np.pi / 2, 0.0]
         expected = np.zeros((4, 4))
         for i, theta in enumerate(thetas):
@@ -112,21 +115,22 @@ class TestGramian:
         scenario = single_static_scenario()
         even = replace(scenario, grid_points=10)
         odd = replace(scenario, grid_points=11)
-        G_even = gramian(measure_scenario(even), even.effective_orders()).blocks()
-        G_odd = gramian(measure_scenario(odd), odd.effective_orders()).blocks()
+        G_even = gramian(even.observer, measure_scenario(even), even.effective_orders()).blocks()
+        G_odd = gramian(odd.observer, measure_scenario(odd), odd.effective_orders()).blocks()
         assert np.allclose(G_even, G_odd, rtol=1e-12)
 
     def test_node_count_floor(self):
         scenario = replace(single_static_scenario(), grid_points=1)
         history = measure_scenario(scenario)
         with pytest.raises(ValueError):
-            gramian(history, scenario.effective_orders())
+            gramian(scenario.observer, history, scenario.effective_orders())
 
     def test_positive_semidefinite_on_random_scenarios(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             scenario = random_scenario(rng, target_order_max=1)
-            for G in gramian(measure_scenario(scenario), scenario.effective_orders()).blocks():
+            for G in gramian(scenario.observer, measure_scenario(scenario),
+                             scenario.effective_orders()).blocks():
                 eigvals = np.linalg.eigvalsh(G)
                 assert eigvals[0] >= -1e-10 * eigvals[-1]
 
@@ -135,10 +139,11 @@ class TestGramian:
         base = check_observable(scenario)
         nodes = scenario.grid_points
         refined = replace(scenario, grid_points=2 * nodes)
-        G2 = gramian(measure_scenario(refined), refined.effective_orders()).blocks()
-        svals = np.sort(np.concatenate([np.linalg.svd(G, compute_uv=False) for G in G2]))
-        refined_ratio = svals[0] / svals[-1]
-        assert abs(refined_ratio - base.sigma_ratio) < 0.01 * base.sigma_ratio
+        refined_ratios = gramian(refined.observer, measure_scenario(refined),
+                                 refined.effective_orders()).per_target_sigma_ratios
+        for refined_ratio, ratio in zip(refined_ratios, base.per_target_sigma_ratios,
+                                        strict=True):
+            assert abs(refined_ratio - ratio) < 0.01 * ratio
 
 
 class TestCheckObservable:
@@ -199,6 +204,57 @@ class TestCheckObservable:
         assert len(data["singular_values"]) == 2
         assert data["min_pairwise_separation"] is None
         assert json.loads(json.dumps(data)) == data
+
+
+def in_time_unit(scenario, k):
+    """The same scenario with time measured in units of k seconds: t -> t / k, a_j -> a_j k^j."""
+    def rescaled(traj):
+        return PolynomialTrajectory(traj.ref_time / k, tuple(
+            (a[0] * k ** j, a[1] * k ** j) for j, a in enumerate(traj.coeffs)))
+    return replace(scenario, observer=rescaled(scenario.observer),
+                   targets=tuple(replace(t, trajectory=rescaled(t.trajectory))
+                                 for t in scenario.targets),
+                   t_start=scenario.t_start / k, t_end=scenario.t_end / k)
+
+
+UNITS = (1e-3, 1.0, 60.0, 3600.0)  # ms, s, min, h
+
+
+class TestTimeUnit:
+    def test_verdict_and_ratios_do_not_depend_on_the_time_unit(self):
+        for seed in range(200):
+            scenario = random_scenario(np.random.default_rng(seed), target_order_max=3)
+            base = check_observable(scenario)
+            for k in UNITS:
+                report = check_observable(in_time_unit(scenario, k))
+                assert report.rank_decision == base.rank_decision, (seed, k)
+                assert np.allclose(report.per_target_sigma_ratios,
+                                   base.per_target_sigma_ratios, rtol=1e-9, atol=0), (seed, k)
+
+    def test_verdict_is_taken_per_target_block(self):
+        # Orders (2, 0): the order-2 block's largest singular value exceeds the
+        # order-0 block's, so a ratio taken across blocks would sit 19 % below
+        # the worst block's own ratio and would flip the verdict at this tol.
+        scenario = random_scenario(np.random.default_rng(2), target_order_max=2)
+        report = check_observable(scenario)
+        ratio = report.sigma_ratio
+        assert ratio == min(report.per_target_sigma_ratios)
+        svals = report.singular_values
+        assert svals.min() / svals.max() < 0.95 * ratio
+        assert check_observable(scenario, 0.99 * ratio).rank_decision == OBSERVABLE
+        below = check_observable(scenario, 1.01 * ratio)
+        assert below.rank_decision == UNOBSERVABLE
+        worst = int(np.argmin(report.per_target_sigma_ratios))
+        for i, part in enumerate(split_state(below.null_space, below.orders)):
+            assert np.any(part != 0) == (i == worst)
+
+    def test_seed_3_observable_in_every_unit(self):
+        # Orders (1, 0) under an order-3 observer: the ratio of the old
+        # global, raw-seconds criterion fell from 2.4e-5 in s to 2.4e-11 in ms.
+        scenario = random_scenario(np.random.default_rng(3))
+        assert scenario.effective_orders() == (1, 0)
+        for k in UNITS:
+            assert check_observable(in_time_unit(scenario, k)).rank_decision == OBSERVABLE, k
 
 
 class TestSeparation:
@@ -358,6 +414,30 @@ class TestBruteForceOracle:
                 assert abs(row @ y_i) < 1e-12
         with pytest.raises(DegenerateSystem):
             estimate_initial_state(scenario.observer, history, list(report.orders))
+
+
+    def test_under_sampled_grid_through_check_observable(self):
+        # One order-3 target on 2 nodes: 8 unknowns, 2 rows, so the R factor
+        # is padded with zero rows and 6 singular values are exactly zero.
+        scenario = Scenario(
+            observer=PolynomialTrajectory(0.0, ((0.0, 0.0), (3.0, 1.0), (0.5, -0.4),
+                                                (0.1, 0.05), (0.01, 0.02))),
+            targets=(TargetConfig(PolynomialTrajectory(
+                0.0, ((400.0, 300.0), (1.0, -2.0), (0.3, 0.1), (0.05, -0.02)))),),
+            t_start=0.0, t_end=10.0, grid_points=2,
+        )
+        report = check_observable(scenario)
+        assert report.rank_decision == UNOBSERVABLE
+        assert len(report.singular_values) == 8
+        assert np.all(report.singular_values[:2] > 0)
+        assert np.array_equal(report.singular_values[2:], np.zeros(6))
+        y = report.null_space
+        assert np.all(np.isfinite(y))
+        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+        history = measure_scenario(scenario)
+        for t, theta in zip(history.times, history.bearings[0]):
+            row = pseudo_row(theta, 3) @ transition_matrix(3, t, scenario.t_start)
+            assert abs(row @ y) < 1e-12
 
 
 class TestEquivalenceOfCriteria:

@@ -7,7 +7,9 @@ from obskit.errors import ZeroRange
 from obskit.selftest import random_scenario
 from obskit.trajectory import (PolynomialTrajectory, SampledTrajectory, propagate_ode,
                                relative_state, relative_states, state_from_trajectory,
-                               trajectory_from_state, transition_matrix)
+                               trajectory_from_state)
+
+from oracles import transition_matrix
 
 
 class TestEval:
