@@ -8,6 +8,7 @@ Doppler uses the one-way narrowband model f0 * (1 - range_rate / c).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 from typing import TYPE_CHECKING
 
@@ -69,6 +70,19 @@ class MeasurementHistory:
     @property
     def num_targets(self) -> int:
         return self.bearings.shape[0]
+
+    @cached_property
+    def sorted_mod_pi(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, phi), both (M, N) and read-only: column k of phi holds the
+        bearings at node k modulo pi in ascending order, each np.mod's value
+        in [0, pi], and column k of order their targets. Sorted on first use
+        and kept, so the pair diagnostics of one history share one sort."""
+        phi = np.fmod(self.bearings, np.pi)  # exact
+        phi += np.pi * (phi < 0)  # np.mod's value: one rounding, only when negative
+        order = np.argsort(phi, axis=0)
+        phi = np.take(phi, order * phi.shape[1] + np.arange(phi.shape[1]))
+        order.flags.writeable = phi.flags.writeable = False
+        return order, phi
 
 
 def wrap_angle(theta: float | np.ndarray) -> float | np.ndarray:

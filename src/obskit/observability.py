@@ -15,11 +15,19 @@ The verdict is about each target's own state, and in tau it does not depend
 on the time unit. The geometric criterion (all bearings distinct modulo pi)
 is a separate diagnostic: it does not capture single-target
 unobservability and is therefore never folded into the rank decision.
+
+The two pair diagnostics, the minimum separation modulo pi and the
+collinearity events, sort the bearings modulo pi at each node. On that
+circle a close pair is close in sorted order too (the one-dimensional
+closest-pair argument), so each diagnostic takes its candidate (pair, node)
+entries from the sort and evaluates ``separation_mod_pi`` on those alone:
+O(N M log M) plus the candidates, not O(N M^2), with the exact values and
+tie order of a scan over every pair.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +99,7 @@ def separation_mod_pi(theta_a: float | np.ndarray, theta_b: float | np.ndarray):
     if np.ndim(d) == 0:  # a numpy scalar, which takes no out=
         d = np.mod(np.abs(d), np.pi)
         return float(np.minimum(d, np.pi - d))
-    # In place: an (M - 1 - i, N) partner block keeps two full-size arrays, not five.
+    # In place: the pair diagnostics' candidate entries take two arrays of their size, not five.
     np.abs(d, out=d)
     np.mod(d, np.pi, out=d)
     return np.minimum(d, np.pi - d, out=d)
@@ -215,17 +223,63 @@ def gramian(observer: PolynomialTrajectory, history: MeasurementHistory,
     return Gramian(scale, tuple(factors), ratios, min(ratios) > rank_tol)
 
 
-def _partner_separations(history: MeasurementHistory) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (i, sep) per target, sep[r] the separation modulo pi of pair
-    (i, i + 1 + r) on the grid: one (M - 1 - i, N) block, never all pairs."""
-    for i in range(history.num_targets - 1):
-        yield i, separation_mod_pi(history.bearings[i], history.bearings[i + 1:])
+def _close_entries(history: MeasurementHistory,
+                   below: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The (pair, node) entries the pair diagnostics need, from the history's sort.
+
+    With ``below`` set: every entry whose separation modulo pi is below it.
+    With None: every entry that can attain the minimum over pairs and nodes.
+    Extra entries come along, and an entry can come twice, once per direction
+    round the circle. Returns (key, sep): key = (i M + j)(N + 1) + k for pair
+    i < j at node k, so keys order the entries by pair, then node, and
+    consecutive nodes of one pair have consecutive keys; sep is each entry's
+    exact ``separation_mod_pi``.
+
+    At each node the bearings mod pi (``history.sorted_mod_pi``) lie sorted
+    round a circle of circumference pi, so the gap from a bearing to the d-th
+    one after it grows with d. A pair closer than a limit is d apart in one
+    direction, and every gap at a smaller offset from the same start is below
+    the limit too. So the walk over d stops at the first offset with no gap
+    below it.
+    """
+    bearings = history.bearings
+    m, n = bearings.shape
+    order, phi = (a.ravel() for a in history.sorted_mod_pi)  # index s N + k: rank s, node k
+    circle = np.concatenate((phi, phi[:n * (m - 1)] + np.pi))  # then one turn on
+    # Gaps and separations differ by roundings only (u = eps / 2): a phi by
+    # 2 u, the turn added by 4 u and a gap's subtraction by 4 u, so a gap is
+    # within 12 u of its pair's distance round the circle, and the shorter
+    # direction's gap within 24 u of that distance. The reference's
+    # theta_b - theta_a and pi - d add u ptp(theta) + 2 u. So a pair below a
+    # limit has a gap below the limit plus eps (ptp + 32), and a pair at the
+    # minimum has a gap below the smallest gap plus that slack.
+    slack = np.finfo(float).eps * (bearings.max() - bearings.min() + 32.0)
+    gaps = circle[n:n * (m + 1)] - phi
+    limit = (gaps.min() if below is None else below) + slack
+    starts, ends = [], []
+    for d in range(1, m):
+        if d > 1:
+            gaps = np.subtract(circle[n * d:n * (d + m)], phi, out=gaps)
+        start = (gaps < limit).nonzero()[0]
+        if not len(start):
+            break
+        starts.append(start)
+        ends.append((start + n * d) % (n * m))  # the bearing d on, round the circle
+    if not starts:
+        return np.zeros(0, dtype=int), np.zeros(0)
+    start, end = np.concatenate(starts), np.concatenate(ends)
+    k = start % n
+    a, b = order[start], order[end]
+    sep = separation_mod_pi(bearings[a, k], bearings[b, k])
+    return (np.minimum(a, b) * m + np.maximum(a, b)) * (n + 1) + k, sep
 
 
 def bearing_separation_mod_pi(
     history: MeasurementHistory,
 ) -> tuple[float, tuple[int, int], float]:
-    """Minimum pairwise bearing separation modulo pi over the grid (first on ties).
+    """Minimum pairwise bearing separation modulo pi over the grid.
+
+    Ties go to the lowest pair (i, j), then to the earliest node.
 
     Returns:
         (min_separation, (i, j), time) at the argmin.
@@ -235,12 +289,10 @@ def bearing_separation_mod_pi(
     """
     if history.num_targets < 2:
         raise ValueError("pairwise separation needs at least two targets")
-    best = (np.inf, (0, 1), float(history.times[0]))
-    for i, sep in _partner_separations(history):
-        r, k = divmod(int(np.argmin(sep)), sep.shape[1])
-        if sep[r, k] < best[0]:
-            best = (float(sep[r, k]), (i, i + 1 + r), float(history.times[k]))
-    return best
+    key, sep = _close_entries(history)
+    least = sep.min()
+    pair, node = divmod(int(key[sep == least].min()), len(history.times) + 1)
+    return float(least), divmod(pair, history.num_targets), float(history.times[node])
 
 
 def detect_collinearity(
@@ -253,20 +305,23 @@ def detect_collinearity(
     """
     if history.num_targets < 2:
         raise ValueError("collinearity detection needs at least two targets")
+    key, sep = _close_entries(history, collinearity_tol)
+    below = sep < collinearity_tol
+    if not below.any():
+        return []
+    key, once = np.unique(key[below], return_index=True)
+    sep = sep[below][once]
+    # A run of consecutive keys is one pair's run of consecutive nodes.
+    starts = np.flatnonzero(np.diff(key, prepend=-2) != 1)
+    lasts = np.append(starts[1:], len(key)) - 1
+    pairs, nodes = np.divmod(key[starts], len(history.times) + 1)
+    lower, upper = np.divmod(pairs, history.num_targets)
     times = history.times
-    events: list[CollinearityEvent] = []
-    for i, sep in _partner_separations(history):
-        # Padded with False, each row's mask flips at a run's start, then its end.
-        rows, edges = np.nonzero(np.diff(sep < collinearity_tol, axis=1,
-                                         prepend=False, append=False))
-        for r, start, stop in zip(rows[::2], edges[::2], edges[1::2]):
-            events.append(CollinearityEvent(
-                pair=(i, i + 1 + int(r)),
-                t_start=float(times[start]),
-                t_end=float(times[stop - 1]),
-                separation_min=float(np.min(sep[r, start:stop])),
-            ))
-    return events
+    return [CollinearityEvent((i, j), t_start, t_end, least)
+            for i, j, t_start, t_end, least in zip(
+                lower.tolist(), upper.tolist(), times[nodes].tolist(),
+                times[nodes + key[lasts] - key[starts]].tolist(),
+                np.minimum.reduceat(sep, starts).tolist())]
 
 
 def check_observable(scenario: Scenario, rank_tol: float | None = None) -> ObservabilityReport:

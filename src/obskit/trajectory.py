@@ -66,13 +66,15 @@ class PolynomialTrajectory:
         if derivative_order < 0:
             raise ValueError(f"derivative_order must be >= 0, got {derivative_order}")
         dt = np.asarray(t, dtype=float) - self.ref_time
-        out = np.zeros(dt.shape + (2,))
+        # The x/y axis first, so every term runs along the times; one transpose at the end.
+        coeffs = np.array(self.coeffs).T.reshape((2, -1) + (1,) * dt.ndim)
+        out = np.zeros((2,) + dt.shape)
         power = np.ones_like(dt)
         for k in range(derivative_order, len(self.coeffs)):
             scale = factorial(k) // factorial(k - derivative_order)
-            out += np.multiply.outer(scale * power, self.coeffs[k])
+            out += (scale * power) * coeffs[:, k]
             power = power * dt
-        return out
+        return np.ascontiguousarray(out.T)
 
     def padded(self, order: int) -> "PolynomialTrajectory":
         """Same trajectory with zero coefficients appended up to ``order``."""

@@ -1,3 +1,5 @@
+import os
+
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -6,4 +8,12 @@ settings.register_profile(
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("obskit")
+# Fresh random examples, many of them: HYPOTHESIS_PROFILE=deep.
+settings.register_profile(
+    "deep",
+    derandomize=False,
+    max_examples=2000,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "obskit"))

@@ -3,6 +3,8 @@
 ``transition_matrix`` and ``pseudo_row`` spell out the pseudo-linear model
 one instant at a time: ``pseudo_row(theta, p) @ transition_matrix(p, t, t0)``
 is the row of ``measurement.design_matrix`` at (theta, t).
+``polynomial_eval`` is ``PolynomialTrajectory.eval`` with the time axis
+first, one ``np.multiply.outer`` per term.
 """
 
 from math import factorial
@@ -41,3 +43,15 @@ def pseudo_row(theta: float, p: int) -> np.ndarray:
     row[0] = np.cos(theta)
     row[1] = -np.sin(theta)
     return row
+
+
+def polynomial_eval(traj, t, derivative_order: int = 0) -> np.ndarray:
+    """sum_{k>=d} a_k k!/(k-d)! (t - ref_time)^(k-d), accumulated as (..., 2) terms."""
+    dt = np.asarray(t, dtype=float) - traj.ref_time
+    out = np.zeros(dt.shape + (2,))
+    power = np.ones_like(dt)
+    for k in range(derivative_order, len(traj.coeffs)):
+        scale = factorial(k) // factorial(k - derivative_order)
+        out += np.multiply.outer(scale * power, traj.coeffs[k])
+        power = power * dt
+    return out

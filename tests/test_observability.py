@@ -345,6 +345,85 @@ def test_pair_scans_match_per_pair_loops(history, tol):
     assert detect_collinearity(history, tol) == reference_collinearity(history, tol)
 
 
+def assert_scans_match_loops(history, tol):
+    assert bearing_separation_mod_pi(history) == reference_min_separation(history)
+    assert detect_collinearity(history, tol) == reference_collinearity(history, tol)
+
+
+class TestSortedPairScans:
+    """Candidates come from the bearings sorted modulo pi at each node; the
+    pairs d apart in that order and the pairs across the 0/pi wrap."""
+
+    def test_tied_minimum_is_not_an_adjacent_pair(self):
+        # Modulo pi the bearings are 0, 1.48e-93, 0, 0, 0. Pair (0, 1) ties at
+        # exactly 0 with (0, 2), and the zeros of targets 2-4 sort between its two.
+        history = history_from_bearings(np.array([0.0]),
+                                        [[np.pi], [1.48e-93], [0.0], [0.0], [0.0]])
+        assert bearing_separation_mod_pi(history) == (0.0, (0, 1), 0.0)
+        assert_scans_match_loops(history, 1e-3)
+
+    def test_closest_pair_across_the_wrap(self):
+        times = np.linspace(0.0, 4.0, 5)
+        spread = [1e-4, 0.7, 1.4, 2.1, np.pi - 1e-4]
+        history = history_from_bearings(times, [np.full(5, b) for b in spread])
+        sep, pair, _ = bearing_separation_mod_pi(history)
+        assert pair == (0, 4) and sep == pytest.approx(2e-4)
+        assert_scans_match_loops(history, 1e-3)
+
+    def test_collinear_run_across_the_wrap(self):
+        # Target 1 passes through bearing 0 (and so pi) while target 0 sits
+        # just below pi: modulo pi the pair lies at opposite ends of [0, pi).
+        times = np.linspace(0.0, 8.0, 9)
+        history = history_from_bearings(times, [np.full(9, np.pi - 2e-4),
+                                                np.linspace(-2e-3, 2e-3, 9),
+                                                np.full(9, 1.0), np.full(9, -1.2)])
+        events = detect_collinearity(history, 1e-3)
+        assert [e.pair for e in events] == [(0, 1)]
+        assert events[0].t_start < 4.0 < events[0].t_end
+        assert_scans_match_loops(history, 1e-3)
+
+    def test_cluster_of_four_within_tolerance(self):
+        # Targets 0-3 are 3e-4 apart: pair (0, 3) is three places apart in
+        # sorted order, and every pair of the cluster is collinear.
+        times = np.linspace(0.0, 3.0, 4)
+        bearings = [np.full(4, 3e-4 * i) for i in range(4)] + [np.full(4, 1.0),
+                                                               np.full(4, 2.0)]
+        history = history_from_bearings(times, bearings)
+        events = detect_collinearity(history, 1e-3)
+        assert [e.pair for e in events] == [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        assert_scans_match_loops(history, 1e-3)
+
+    def test_tolerance_above_a_quarter_turn(self):
+        # Every pair is within pi/2 < tol, and both its gaps round the circle
+        # (they sum to pi) can fall below the tolerance: one event per pair.
+        times = np.linspace(0.0, 4.0, 5)
+        rng = np.random.default_rng(5)
+        history = history_from_bearings(times, rng.uniform(-np.pi, np.pi, (3, 5)))
+        events = detect_collinearity(history, 2.0)
+        assert [(e.pair, e.t_start, e.t_end) for e in events] == [
+            ((i, j), 0.0, 4.0) for i in range(3) for j in range(i + 1, 3)]
+        assert_scans_match_loops(history, 2.0)
+
+
+@st.composite
+def clustered_histories(draw):
+    """2 to 40 targets in a few tight clusters, centred on 0, +-pi or anywhere,
+    with spreads around the default collinearity tolerance (1e-3): many pairs
+    near it, long runs of close bearings, and clusters across the 0/pi wrap."""
+    m, n = draw(st.integers(2, 40)), draw(st.integers(1, 8))
+    centre = st.sampled_from([0.0, np.pi, -np.pi]) | st.floats(-np.pi, np.pi)
+    centres = draw(st.lists(centre, min_size=1, max_size=4))
+    spread = draw(st.sampled_from([0.0, 1e-4, 5e-4, 1e-3, 2e-3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bearings = rng.choice(centres, size=(m, 1)) + spread * rng.uniform(-1.0, 1.0, (m, n))
+    return history_from_bearings(np.linspace(0.0, 5.0, n), bearings)
+
+
+@given(history=clustered_histories())
+def test_clustered_scans_match_per_pair_loops(history):
+    assert_scans_match_loops(history, 1e-3)
+
+
 class TestDetectCollinearity:
     def test_permanent_collinearity_spans_window(self):
         times = np.linspace(0.0, 6.0, 7)

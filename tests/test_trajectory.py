@@ -9,7 +9,7 @@ from obskit.trajectory import (PolynomialTrajectory, SampledTrajectory, propagat
                                relative_state, relative_states, state_from_trajectory,
                                trajectory_from_state)
 
-from oracles import transition_matrix
+from oracles import polynomial_eval, transition_matrix
 
 
 class TestEval:
@@ -42,6 +42,18 @@ class TestEval:
     def test_eval_at_ref_time_is_exact(self, coeffs, ref_time):
         traj = PolynomialTrajectory(ref_time, tuple(coeffs))
         assert np.array_equal(traj.eval(ref_time), np.asarray(coeffs[0]))
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_eval_equals_per_term_outer_products(self, p):
+        # Axis-first accumulation rounds as the (N, 2) outer-product terms did.
+        rng = np.random.default_rng(p)
+        traj = PolynomialTrajectory(1.7, tuple(map(tuple, rng.normal(scale=50.0, size=(p + 1, 2)))))
+        grid = np.linspace(-3.0, 30.0, 1001)
+        for t in (grid, grid[:1], 4.25, np.float64(-2.5)):
+            for d in range(p + 2):
+                got, want = traj.eval(t, d), polynomial_eval(traj, t, d)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert np.array_equal(got, want), (t, d)
 
     def test_derivative_matches_central_differences(self):
         rng = np.random.default_rng(3)
