@@ -80,10 +80,8 @@ def estimate_initial_state(
     Raises:
         DegenerateSystem: If any target has fewer measurement rows than
             unknowns (e.g. a zero-length window).
+        ValueError: From ``gramian``, if ``orders`` has not one entry per target.
     """
-    if len(orders) != history.num_targets:
-        raise ValueError(
-            f"orders has {len(orders)} entries for {history.num_targets} targets")
     for i, p in enumerate(orders):
         if len(history.times) < 2 * (p + 1):
             raise DegenerateSystem(

@@ -13,12 +13,11 @@ Scenario JSON schema (all angles radians, frequencies Hz, lengths meters):
 
 ``c`` and ``tolerances`` are optional. Trajectory coefficients are Taylor
 coefficients about ``time.start`` (coeffs[k] multiplies (t - start)^k).
-On load, target coefficient lists shorter than the observer's are
-zero-padded to the observer's order; padding does not change the
-trajectory, and analyses derive each target's order by trimming the
-trailing zero coefficients back off. ``time.points`` is at most
-``MAX_GRID_POINTS``, and every target's range and range rate must be
-finite on the grid.
+Each trajectory is loaded as written; analyses take a target's order from
+its last nonzero coefficient pair (``Scenario.effective_orders``), so
+trailing zero pairs change no output. ``time.points`` is at most
+``MAX_GRID_POINTS``, and every target must stay at least ``eps_range`` from
+the observer, with finite range and range rate, on the grid.
 
 Reports are written with ``dumps_json(report.to_dict())``; each report's
 ``to_dict`` is ``fields_dict``, so its dataclass fields, in order, are its
@@ -39,7 +38,7 @@ from typing import Any, TextIO
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, ZeroRange
+from .errors import ParseError, ValidationError
 from .measurement import DEFAULT_SOUND_SPEED, MeasurementHistory, Tonal
 from .trajectory import (DEFAULT_EPS_RANGE, PolynomialTrajectory, SampledTrajectory,
                          relative_states)
@@ -90,8 +89,8 @@ class Scenario:
     def effective_orders(self) -> tuple[int, ...]:
         """Per-target polynomial orders with trailing zero coefficients trimmed.
 
-        This undoes the loader's observer-order padding so that analyses see
-        each target's own dynamic order.
+        Targets are kept as the file writes them, trailing zero pairs
+        included; these orders are the ones every analysis uses.
         """
         return tuple(t.trajectory.effective_order() for t in self.targets)
 
@@ -125,36 +124,31 @@ def validate_scenario(scenario: Scenario, points_field: str = "time.points") -> 
     The grid's float times must be strictly increasing: far from zero a
     short window can round several nodes to one time. Errors about the grid
     name ``points_field``, the field that set its size. The kinematic check
-    evaluates all targets in one ``relative_states`` pass and names the
-    first target, in index order, that meets the observer or whose range
-    or range rate overflows.
+    evaluates all targets in one ``relative_states`` pass with no range
+    floor and names the first target, in index order, whose range falls
+    below ``eps_range`` or whose range or range rate overflows;
+    a target that does both is reported as meeting the observer.
     """
     _check_fields(scenario, points_field)
-    trajectories = scenario.target_trajectories()
-    eps = scenario.tolerances.eps_range
     times = scenario.grid()
     if not np.all(np.diff(times) > 0):
         raise ValidationError(
             points_field, f"{scenario.grid_points} points on [{scenario.t_start}, "
             f"{scenario.t_end}] give only {len(np.unique(times))} distinct float times")
-    zero = None
-    # Overflow shows as a non-finite range or range rate, checked below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            state = relative_states(trajectories, scenario.observer, times, eps)
-        except ZeroRange as exc:
-            # A target before the first one at zero range may overflow; it comes first.
-            zero, before = exc, trajectories[:exc.target_index]
-            state = relative_states(before, scenario.observer, times, eps) if before else None
-    if state is not None:
-        overflows = np.flatnonzero(
-            ~(np.isfinite(state.range) & np.isfinite(state.range_rate)).all(axis=1))
-        if overflows.size:
-            raise ValidationError(f"targets[{overflows[0]}]",
-                                  "range or range rate overflows a float on the time grid")
-    if zero is not None:
-        raise ValidationError(f"targets[{zero.target_index}]",
-                              f"coincides with the observer at t={zero.time}")
+    # Overflow and zero range show in the arrays, checked below.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        state = relative_states(scenario.target_trajectories(), scenario.observer, times, 0.0)
+    near = state.range < scenario.tolerances.eps_range
+    finite = np.isfinite(state.range) & np.isfinite(state.range_rate)
+    faulty = np.flatnonzero((near | ~finite).any(axis=1))
+    if not faulty.size:
+        return
+    i = faulty[0]
+    if near[i].any():
+        raise ValidationError(f"targets[{i}]", "coincides with the observer at "
+                              f"t={float(times[np.argmax(near[i])])}")
+    raise ValidationError(f"targets[{i}]",
+                          "range or range rate overflows a float on the time grid")
 
 
 def _require(mapping: dict, key: str, path: str) -> Any:
@@ -228,9 +222,8 @@ def scenario_from_dict(data: dict, grid_points: int | None = None) -> Scenario:
         tonal = None
         if entry.get("tonal_hz") is not None:
             tonal = Tonal(_finite(entry["tonal_hz"], f"targets[{i}].tonal_hz", positive=True))
-        traj = PolynomialTrajectory(ref_time=t_start, coeffs=coeffs)
-        # Align with the observer's order; see module docstring.
-        targets.append(TargetConfig(trajectory=traj.padded(observer.order), tonal=tonal))
+        targets.append(TargetConfig(
+            trajectory=PolynomialTrajectory(ref_time=t_start, coeffs=coeffs), tonal=tonal))
 
     c = _finite(data.get("c", DEFAULT_SOUND_SPEED), "c")
     tol_raw = data.get("tolerances", {})
@@ -263,17 +256,20 @@ def load_scenario(path: str | Path, grid_points: int | None = None) -> Scenario:
     """Load and validate a scenario JSON file; see ``scenario_from_dict``.
 
     Raises:
-        ParseError: Unreadable file or malformed JSON.
+        ParseError: Unreadable file, text that is not UTF-8, or malformed or
+            too deeply nested JSON.
         ValidationError: Schema or invariant violation, with the field path.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"malformed JSON in {path}: nested too deeply") from exc
     return scenario_from_dict(data, grid_points)
 
 
@@ -444,13 +440,13 @@ def read_trajectory_csv(path: str | Path) -> SampledTrajectory:
     """Read a t,x_m,y_m CSV back into a SampledTrajectory.
 
     Raises:
-        ParseError: Unreadable file, bad header, non-numeric or non-finite
-            value, fewer than three rows (sampled range rates need second-order
-            differences), or times that are not strictly increasing.
+        ParseError: Unreadable or non-UTF-8 file, bad header, non-numeric or
+            non-finite value, fewer than three rows (sampled range rates need
+            second-order differences), or times that are not strictly increasing.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read trajectory file {path}: {exc}") from exc
     if not lines or lines[0].strip() != "t,x_m,y_m":
         raise ParseError(f"{path}: expected header 't,x_m,y_m'")

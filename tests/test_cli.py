@@ -1,11 +1,15 @@
 import importlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from obskit import cli, scenario_io
+from obskit import cli, scenario_io, selftest
 from obskit.cli import run_cli
+from obskit.measurement import Tonal
+from obskit.scenario_io import TargetConfig, save_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -322,6 +326,66 @@ def test_unwritable_output_exits_one(tmp_path, capsys, argv):
     assert err.startswith("error: ")
     assert str(tmp_path) in err
     assert not (tmp_path / "missing_dir").exists()
+
+
+# Files a loader cannot decode: bytes that are not UTF-8, and JSON nested
+# deeper than the parser's recursion limit.
+UNDECODABLE = {"not-utf8": b"\xff\xfe{}", "nested": b"[" * 100_000}
+SCENARIO_COMMANDS = {
+    "observability": ["observability", "{bad}"],
+    "estimate": ["estimate", "{bad}"],
+    "simulate": ["simulate", "{bad}"],
+    "generate": ["ambiguity", "generate", "{bad}", "--regime", "doppler", "-o", "{tmp}/x"],
+}
+
+
+@pytest.mark.parametrize("argv,content", [
+    *(pytest.param(argv, content, id=f"{command}-{kind}")
+      for command, argv in SCENARIO_COMMANDS.items() for kind, content in UNDECODABLE.items()),
+    pytest.param(["ambiguity", "verify", str(DOPPLER_BASE), "{bad}", "-o", "{tmp}/x_cert.json"],
+                 CANDIDATE.encode().replace(b"510.0", b"\xff510.0"), id="verify-csv-not-utf8"),
+])
+def test_undecodable_input_exits_one(tmp_path, capsys, argv, content):
+    bad = tmp_path / "bad_input"
+    bad.write_bytes(content)
+    assert run_cli([a.replace("{bad}", str(bad)).replace("{tmp}", str(tmp_path))
+                    for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(bad) in err
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("x_*"))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_padded_targets_change_no_output(tmp_path, capsys, seed):
+    """Trailing zero pairs up to the observer's order change no output byte.
+
+    Target orders 0-3 under a higher-order observer: written as drawn, the
+    targets take different rows of the order-sorted ``relative_states``
+    stack than when all are padded to the observer's order.
+    """
+    scenario = selftest.random_scenario(np.random.default_rng(seed), m_targets=4,
+                                        target_order_max=3, grid_points=41)
+    orders = [t.trajectory.order for t in scenario.targets]
+    assert len(set(orders)) > 1 and scenario.observer.order > max(orders)
+    outputs = []
+    for pad in (False, True):
+        targets = tuple(
+            TargetConfig(t.trajectory.padded(scenario.observer.order) if pad else t.trajectory,
+                         Tonal(1000.0 + 100.0 * i))
+            for i, t in enumerate(scenario.targets))
+        path = tmp_path / "scenario.json"
+        save_scenario(replace(scenario, targets=targets), path)
+        out = tmp_path / f"padded_{pad}"
+        out.mkdir()
+        runs = [(run_cli([command, str(path), "-o", str(out / name)]), capsys.readouterr())
+                for command, name in (("observability", "report.json"),
+                                      ("estimate", "estimate.json"),
+                                      ("simulate", "history.csv"))]
+        assert [rc for rc, _ in runs] == [0, 0, 0]
+        outputs.append((runs, {f.name: f.read_bytes() for f in out.iterdir()}))
+    assert outputs[0] == outputs[1]
 
 
 class TestMisc:

@@ -49,11 +49,11 @@ class TestLoadScenario:
             load_scenario(write(tmp_path, bad))
         assert excinfo.value.field == "time.end"
 
-    def test_target_padded_to_observer_order(self, tmp_path):
+    def test_target_loaded_as_written(self, tmp_path):
         scenario = load_scenario(write(tmp_path, MINIMAL))
         target = scenario.targets[0].trajectory
-        assert target.order == 1          # padded to the observer's order
-        assert target.coeffs[1] == (0.0, 0.0)
+        assert scenario.observer.order == 1
+        assert target.coeffs == ((300.0, 400.0),)   # not padded to the observer's order
         assert target.effective_order() == 0
         assert np.array_equal(target.eval(7.0), [300.0, 400.0])
 
@@ -112,6 +112,19 @@ class TestLoadScenario:
         pytest.param([[[0, 500], [0, 0], [1, 1]], [[0, 0], [1, 0]]],
                      "targets[0]: range or range rate overflows a float on the time grid",
                      id="overflow-before-zero-range"),
+        pytest.param([[[0, 0], [0, 0], [1, 1]]],
+                     "targets[0]: coincides with the observer at t=0.0",
+                     id="zero-range-and-overflow-in-one-target"),
+        pytest.param([[[-1e160, 0], [1, 0]], [[0, 500], [0, 0], [1, 1]]],
+                     "targets[0]: coincides with the observer at t=1e+160",
+                     id="later-zero-range-before-earlier-overflow"),
+        pytest.param([[[500, 0]], [[-1e160, 0], [1, 0]]],
+                     "targets[1]: coincides with the observer at t=1e+160",
+                     id="zero-range-only-at-last-node"),
+        # A range of exactly eps_range (the default, 1e-9 m) is not below it.
+        pytest.param([[[1e-9, 0]], [[0, 500], [0, 0], [1, 1]]],
+                     "targets[1]: range or range rate overflows a float on the time grid",
+                     id="range-equal-to-eps-range-not-a-fault"),
     ])
     def test_first_faulty_target_named(self, targets, message):
         data = {"observer": {"coeffs": [[0.0, 0.0]]},
