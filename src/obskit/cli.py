@@ -11,6 +11,12 @@ Subcommands:
 every later call in the process; a one-shot ``obskit ...`` from a shell
 builds it once, as before.
 
+``ambiguity generate`` samples its profiles on the whole grid at once: the
+doppler regime's rotation ``rate * (t - t0)`` and the bearing regime's scale
+``1 + amplitude * sin(rate * (t - t0))``, with t0 the window start. These
+arrays equal the per-node values, so the output is that of the same
+profiles passed to the library as callables.
+
 Exit codes: 0 success, 1 validation/input error or an output path that
 cannot be written, 2 analysis error
 (zero range, infeasible ambiguity parameters, degenerate system, floating
@@ -117,7 +123,7 @@ def _cmd_ambiguity_generate(args: argparse.Namespace) -> int:
         raise ValidationError(
             "--grid-points" if args.grid_points is not None else "time.points",
             f"ambiguity generation needs at least 3 grid points, got {len(grid)}")
-    t0 = scenario.t_start
+    elapsed = grid - scenario.t_start
 
     if args.regime == DOPPLER:
         if base.tonal is None:
@@ -126,7 +132,7 @@ def _cmd_ambiguity_generate(args: argparse.Namespace) -> int:
                 "doppler-regime generation needs the base target's tonal")
         spec = DopplerAmbiguitySpec(
             l_prime=args.l_prime, b_prime=args.b_prime,
-            rotation=lambda t: args.rotation_rate * (t - t0), c=scenario.c)
+            rotation=args.rotation_rate * elapsed, c=scenario.c)
         generated = generate_doppler_ambiguous(
             base.trajectory, scenario.observer, spec, grid,
             scenario.tolerances.eps_range)
@@ -134,7 +140,7 @@ def _cmd_ambiguity_generate(args: argparse.Namespace) -> int:
     else:
         generated = generate_bearing_ambiguous(
             base.trajectory, scenario.observer,
-            lambda t: 1.0 + args.alpha_amplitude * np.sin(args.alpha_rate * (t - t0)),
+            1.0 + args.alpha_amplitude * np.sin(args.alpha_rate * elapsed),
             grid, scenario.tolerances.eps_range)
         tonals = None if base.tonal is None else (base.tonal.f0, base.tonal.f0)
 

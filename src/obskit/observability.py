@@ -96,12 +96,13 @@ class ObservabilityReport:
 def separation_mod_pi(theta_a: float | np.ndarray, theta_b: float | np.ndarray):
     """Bearing distance modulo pi: min_k |theta_b - theta_a - k*pi|, in [0, pi/2]."""
     d = np.subtract(theta_b, theta_a, dtype=float)
+    # fmod equals mod on the non-negative |d| and costs about a third as much.
     if np.ndim(d) == 0:  # a numpy scalar, which takes no out=
-        d = np.mod(np.abs(d), np.pi)
+        d = np.fmod(np.abs(d), np.pi)
         return float(np.minimum(d, np.pi - d))
     # In place: the pair diagnostics' candidate entries take two arrays of their size, not five.
     np.abs(d, out=d)
-    np.mod(d, np.pi, out=d)
+    np.fmod(d, np.pi, out=d)
     return np.minimum(d, np.pi - d, out=d)
 
 

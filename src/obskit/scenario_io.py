@@ -414,18 +414,19 @@ def write_measurements_csv(history: MeasurementHistory, out: TextIO) -> None:
     """Measurement history as CSV with columns t,target_id,bearing_rad,doppler_hz.
 
     One row per time and target, times outer; numbers are written as their
-    ``repr``. The doppler column is left empty for targets without a tonal.
+    ``repr``, each time once for all the rows that share it. The doppler
+    column is left empty for targets without a tonal.
     """
     out.write("t,target_id,bearing_rad,doppler_hz\n")
-    times = history.times.tolist()
+    times = list(map(float.__repr__, history.times.tolist()))
     row, columns = "", []
-    for i, (bearings, dop) in enumerate(zip(history.bearings, history.dopplers)):
+    for i, (bearings, dop) in enumerate(zip(history.bearings.tolist(), history.dopplers)):
         if dop is None:
-            row += f"%r,{i},%r,\n"
-            columns += [times, bearings.tolist()]
+            row += f"%s,{i},%r,\n"
+            columns += [times, bearings]
         else:
-            row += f"%r,{i},%r,%r\n"
-            columns += [times, bearings.tolist(), dop.tolist()]
+            row += f"%s,{i},%r,%r\n"
+            columns += [times, bearings, dop.tolist()]
     out.write("".join(map(row.__mod__, zip(*columns))))
 
 
@@ -436,22 +437,14 @@ def write_trajectory_csv(traj: SampledTrajectory, out: TextIO) -> None:
     out.write("".join(map("%r,%r,%r\n".__mod__, zip(traj.times.tolist(), xs, ys))))
 
 
-def read_trajectory_csv(path: str | Path) -> SampledTrajectory:
-    """Read a t,x_m,y_m CSV back into a SampledTrajectory.
+def _parse_rows(path: str | Path, rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Times and positions of the data rows, one ``float()`` per field.
 
-    Raises:
-        ParseError: Unreadable or non-UTF-8 file, bad header, non-numeric or
-            non-finite value, fewer than three rows (sampled range rates need
-            second-order differences), or times that are not strictly increasing.
+    The first row that does not hold three fields ``float()`` accepts raises
+    a ParseError naming its line number.
     """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read trajectory file {path}: {exc}") from exc
-    if not lines or lines[0].strip() != "t,x_m,y_m":
-        raise ParseError(f"{path}: expected header 't,x_m,y_m'")
     times, positions = [], []
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in enumerate(rows, start=2):
         parts = line.split(",")
         if len(parts) != 3:
             raise ParseError(f"{path}:{ln}: expected 3 columns, got {len(parts)}")
@@ -460,7 +453,46 @@ def read_trajectory_csv(path: str | Path) -> SampledTrajectory:
             positions.append((float(parts[1]), float(parts[2])))
         except ValueError as exc:
             raise ParseError(f"{path}:{ln}: non-numeric value") from exc
-    times, positions = np.asarray(times), np.asarray(positions)
+    return np.asarray(times), np.asarray(positions)
+
+
+def read_trajectory_csv(path: str | Path) -> SampledTrajectory:
+    """Read a t,x_m,y_m CSV back into a SampledTrajectory.
+
+    The data rows go through numpy's C reader (``np.loadtxt``) in one call,
+    which parses each field with the same C routine as ``float()``. Its
+    result is kept only when it holds one row of three values per line.
+    Any other file goes through ``_parse_rows``, which names the first bad
+    line or reads what only ``float()`` reads (``1_0``, non-ASCII digits),
+    so the accepted files, the values and the errors are those of
+    ``_parse_rows`` alone.
+
+    Raises:
+        ParseError: Unreadable or non-UTF-8 file, bad header, non-numeric or
+            non-finite value, fewer than three rows (sampled range rates need
+            second-order differences), or times that are not strictly increasing.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read trajectory file {path}: {exc}") from exc
+    lines = text.strip().splitlines()
+    if not lines or lines[0].strip() != "t,x_m,y_m":
+        raise ParseError(f"{path}: expected header 't,x_m,y_m'")
+    rows = lines[1:]
+    table = None
+    # loadtxt warns on a file without data rows. It also strips the unit
+    # separator U+001F around a field as whitespace, which float() rejects.
+    if rows and "\x1f" not in text:
+        try:
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    # loadtxt skips blank lines, so only a full count means every line parsed.
+    if table is not None and table.shape == (len(rows), 3):
+        times, positions = table[:, 0].copy(), table[:, 1:].copy()
+    else:
+        times, positions = _parse_rows(path, rows)
     finite = np.isfinite(times) & np.isfinite(positions).all(axis=-1)
     if not finite.all():
         raise ParseError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite value")

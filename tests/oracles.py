@@ -1,15 +1,20 @@
-"""Closed-form oracles the tests check the program against.
+"""Closed-form oracles and reference implementations the tests check the program against.
 
 ``transition_matrix`` and ``pseudo_row`` spell out the pseudo-linear model
 one instant at a time: ``pseudo_row(theta, p) @ transition_matrix(p, t, t0)``
 is the row of ``measurement.design_matrix`` at (theta, t).
 ``polynomial_eval`` is ``PolynomialTrajectory.eval`` with the time axis
-first, one ``np.multiply.outer`` per term.
+first, one ``np.multiply.outer`` per term. ``read_trajectory_csv_per_line``
+reads a trajectory CSV with one ``float()`` per field, line by line.
 """
 
 from math import factorial
+from pathlib import Path
 
 import numpy as np
+
+from obskit.errors import ParseError
+from obskit.trajectory import SampledTrajectory
 
 
 def transition_matrix(p: int, t: float, t_i: float) -> np.ndarray:
@@ -55,3 +60,32 @@ def polynomial_eval(traj, t, derivative_order: int = 0) -> np.ndarray:
         out += np.multiply.outer(scale * power, traj.coeffs[k])
         power = power * dt
     return out
+
+
+def read_trajectory_csv_per_line(path) -> SampledTrajectory:
+    """``scenario_io.read_trajectory_csv`` as one ``float()`` loop over the lines."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read trajectory file {path}: {exc}") from exc
+    if not lines or lines[0].strip() != "t,x_m,y_m":
+        raise ParseError(f"{path}: expected header 't,x_m,y_m'")
+    times, positions = [], []
+    for ln, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{ln}: expected 3 columns, got {len(parts)}")
+        try:
+            times.append(float(parts[0]))
+            positions.append((float(parts[1]), float(parts[2])))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{ln}: non-numeric value") from exc
+    times, positions = np.asarray(times), np.asarray(positions)
+    finite = np.isfinite(times) & np.isfinite(positions).all(axis=-1)
+    if not finite.all():
+        raise ParseError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite value")
+    if len(times) < 3:
+        raise ParseError(f"{path}: need at least 3 rows, got {len(times)}")
+    if not np.all(np.diff(times) > 0):
+        raise ParseError(f"{path}: times must be strictly increasing")
+    return SampledTrajectory(times=times, positions=positions)

@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 
 from obskit import cli, scenario_io, selftest
+from obskit.ambiguity import (DopplerAmbiguitySpec, _profile_values, generate_bearing_ambiguous,
+                              generate_doppler_ambiguous)
 from obskit.cli import run_cli
 from obskit.measurement import Tonal
-from obskit.scenario_io import TargetConfig, save_scenario
+from obskit.scenario_io import TargetConfig, dumps_json, save_scenario, write_trajectory_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -497,6 +500,71 @@ def test_numerical_overflow_exits_two(tmp_path, capsys):
     argv = ["ambiguity", "verify", str(DOPPLER_BASE), str(csv), "--regime", "bearing"]
     assert run_cli(argv) == 2
     assert "analysis error: numerical overflow" in capsys.readouterr().err
+
+
+def test_generate_profiles_equal_the_per_node_callables(tmp_path, monkeypatch, capsys):
+    """The CLI samples its profiles as arrays; they equal the per-node callables,
+    and the files it writes equal the library's output with those callables."""
+    passed = {}
+
+    def spy(regime, generate):
+        def wrapper(*args):
+            passed[regime] = args
+            return generate(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "generate_doppler_ambiguous",
+                        spy("doppler", generate_doppler_ambiguous))
+    monkeypatch.setattr(cli, "generate_bearing_ambiguous",
+                        spy("bearing", generate_bearing_ambiguous))
+    rng = np.random.default_rng(2024)
+    data = json.loads(DOPPLER_BASE.read_text())
+    path, prefix = tmp_path / "base.json", tmp_path / "pair"
+    for draw in range(40):
+        t0 = 0.0 if draw % 4 == 0 else float(rng.uniform(-1e4, 1e4))
+        data["time"] = {"start": t0, "end": t0 + float(rng.uniform(1.0, 20.0)),
+                        "points": int(rng.integers(3, 300))}
+        path.write_text(json.dumps(data))
+        rate, amplitude = float(rng.uniform(-0.2, 0.2)), float(rng.uniform(0.0, 0.9))
+        alpha_rate = float(rng.uniform(-3.0, 3.0))
+        scenario = scenario_io.load_scenario(path)
+        base, grid = scenario.targets[0], scenario.grid()
+        for regime, options, profile in [
+                ("doppler", ["--rotation-rate", repr(rate)], lambda t: rate * (t - t0)),
+                ("bearing",
+                 ["--alpha-amplitude", repr(amplitude), "--alpha-rate", repr(alpha_rate)],
+                 lambda t: 1.0 + amplitude * np.sin(alpha_rate * (t - t0)))]:
+            assert run_cli(["ambiguity", "generate", str(path), "--regime", regime,
+                            "-o", str(prefix), *options]) == 0
+            if regime == "doppler":
+                spec = DopplerAmbiguitySpec(l_prime=1.0, b_prime=100.0, rotation=profile,
+                                            c=scenario.c)
+                assert np.array_equal(passed[regime][2].rotation,
+                                      _profile_values(profile, grid, "rotation"))
+                generated = generate_doppler_ambiguous(base.trajectory, scenario.observer,
+                                                       spec, grid)
+            else:
+                assert np.array_equal(passed[regime][2], _profile_values(profile, grid, "alpha"))
+                generated = generate_bearing_ambiguous(base.trajectory, scenario.observer,
+                                                       profile, grid)
+            csv = io.StringIO()
+            write_trajectory_csv(generated, csv)
+            assert Path(f"{prefix}_trajectory.csv").read_text() == csv.getvalue()
+            certificate = cli._certify(scenario, generated, base, (base.tonal.f0,) * 2, regime)
+            assert Path(f"{prefix}_certificate.json").read_text() == dumps_json(
+                certificate.to_dict())
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("regime,option", [("doppler", "--rotation-rate"),
+                                           ("bearing", "--alpha-rate")])
+def test_overflowing_profile_exits_two(tmp_path, capsys, regime, option):
+    assert run_cli(["ambiguity", "generate", str(DOPPLER_BASE), "--regime", regime,
+                    "-o", str(tmp_path / "pair"), option, "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error: numerical overflow (")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 # Far from zero a short window rounds several grid nodes to one float time:

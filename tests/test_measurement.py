@@ -1,9 +1,11 @@
 import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from obskit.errors import ZeroRange
 from obskit.measurement import (MeasurementHistory, Tonal, angular_difference,
@@ -212,6 +214,25 @@ class TestCsvExport:
             "0.5,0,0.5,991.5\n"
             "0.5,1,-1.0,\n"
         )
+
+    @given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+        hnp.arrays(float, st.integers(1, 6)).map(np.sort),
+        st.lists(st.booleans(), min_size=m, max_size=m))), st.randoms())
+    def test_rows_match_a_per_row_reference(self, shape, rnd):
+        times, tonals = shape
+        values = [rnd.choice([0.1, -0.0, 5e-324, 1e16, math.nan, -math.inf, rnd.random()])
+                  for _ in range(2 * len(tonals) * len(times))]
+        bearings = np.reshape(values[:len(values) // 2], (len(tonals), len(times)))
+        dopplers = np.reshape(values[len(values) // 2:], (len(tonals), len(times)))
+        history = MeasurementHistory(times=times, bearings=bearings, dopplers=tuple(
+            d if tonal else None for d, tonal in zip(dopplers, tonals)))
+        out = io.StringIO()
+        write_measurements_csv(history, out)
+        expected = "t,target_id,bearing_rad,doppler_hz\n" + "".join(
+            f"{float(t)!r},{i},{float(bearings[i, k])!r},"
+            f"{repr(float(dopplers[i, k])) if tonals[i] else ''}\n"
+            for k, t in enumerate(times) for i in range(len(tonals)))
+        assert out.getvalue() == expected
 
 
 class TestWrapAngle:

@@ -267,6 +267,20 @@ class TestSeparation:
     def test_modulo_arithmetic(self):
         assert separation_mod_pi(0.1, 3.3) == pytest.approx(3.2 - np.pi)
 
+    def test_fmod_equals_mod_on_non_negative_differences(self):
+        """separation_mod_pi reduces |d| with np.fmod, which equals np.mod for d >= 0."""
+        rng = np.random.default_rng(11)
+        d = np.concatenate([
+            [0.0, -0.0, 5e-324, np.nextafter(np.pi, -np.inf), np.nextafter(np.pi, np.inf),
+             1e300, np.finfo(float).max],
+            np.arange(100) * np.pi,
+            rng.uniform(-1.0, 1.0, 1000) * 10.0 ** rng.integers(-300, 300, 1000)])
+        assert (np.fmod(np.abs(d), np.pi) == np.mod(np.abs(d), np.pi)).all()
+        reduced = np.mod(np.abs(d), np.pi)
+        expected = np.minimum(reduced, np.pi - reduced)
+        assert np.array_equal(separation_mod_pi(np.zeros_like(d), d), expected)
+        assert [separation_mod_pi(0.0, x) for x in d] == expected.tolist()
+
     def test_argmin_over_history(self):
         times = np.array([0.0, 1.0, 2.0])
         history = history_from_bearings(times, [[0.0, 0.0, 0.0],

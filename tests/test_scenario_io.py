@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from obskit.errors import ParseError, ValidationError, ZeroRange
 from obskit.estimator import estimate_initial_state
 from obskit.measurement import measure_scenario
 from obskit.observability import check_observable
+from obskit import scenario_io
 from obskit.scenario_io import (Scenario, TargetConfig, Tolerances, dumps_json,
                                 load_scenario, read_trajectory_csv, save_scenario,
                                 scenario_from_dict, scenario_to_dict,
                                 validate_scenario, write_trajectory_csv)
 from obskit.selftest import collinear_scenario, random_observer
 from obskit.trajectory import PolynomialTrajectory, SampledTrajectory
+from oracles import read_trajectory_csv_per_line
 
 MINIMAL = {
     "observer": {"coeffs": [[0.0, 0.0], [5.0, 0.0]]},
@@ -239,6 +242,150 @@ class TestTrajectoryCsv:
             f"{repr(float(t))},{repr(float(x))},{repr(float(y))}\n"
             for t, (x, y) in zip(times, positions))
         assert out.getvalue() == expected
+
+
+def read_both(path):
+    """The reader's and the per-line oracle's outcome: the arrays, or the ParseError text."""
+    outcomes = []
+    for read in (read_trajectory_csv, read_trajectory_csv_per_line):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                traj = read(path)
+            except ParseError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append((traj.times, traj.positions))
+    return outcomes
+
+
+def assert_reads_as_oracle(path):
+    got, want = read_both(path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+    return want
+
+
+ROWS = ["0.0,500.0,500.0", "1.0,510.0,-500.0", "2.0,520.0,500.0"]
+
+
+class TestTrajectoryCsvReader:
+    """The C-reader fast path accepts, reads and rejects exactly as the per-line loop."""
+
+    @pytest.mark.parametrize("body", [
+        "\n".join(ROWS),
+        "\n".join(ROWS).replace("510.0", "\xa0510.0\xa0"),
+        "\n".join(ROWS).replace("510.0", "\t510.0\t"),
+        "\n".join(ROWS).replace("510.0", "\u3000510.0"),
+        "\n".join(ROWS).replace("510.0", "1e-400").replace("520.0", "-0.0"),
+        "\n".join(ROWS).replace("510.0", "+.5").replace("1.0,", "1.,"),
+        "\n".join(ROWS).replace("510.0", "1_0"),
+        "\n".join(ROWS).replace("510.0", "\uff15\uff11\uff10"),
+        "\n".join(ROWS).replace("510.0", "\u0665"),
+        "\r\n".join(ROWS),
+        "\r".join(ROWS),
+        "\n".join(ROWS) + "\n\n\n",
+        "\n".join(ROWS + ["3.0,530.0,500.0", "4.0,540.0,500.0", "5.0,550.0,500.0"]),
+        "\n".join(ROWS).replace("\n", "\x0c", 1),
+    ], ids=["plain", "nbsp", "tab", "ideographic-space", "underflow-negative-zero",
+            "short-forms", "underscore", "fullwidth-digits", "arabic-digit", "crlf", "cr",
+            "six-rows", "trailing-blank-lines", "formfeed-line-break"])
+    def test_accepted(self, tmp_path, body):
+        path = tmp_path / "candidate.csv"
+        path.write_text("t,x_m,y_m\n" + body + "\n", encoding="utf-8", newline="")
+        assert not isinstance(assert_reads_as_oracle(path), str)
+
+    def test_blank_lines_around_the_file_accepted(self, tmp_path):
+        path = tmp_path / "candidate.csv"
+        path.write_text("\n \n t,x_m,y_m \n" + "\n".join(ROWS) + "\n\n", encoding="utf-8")
+        assert not isinstance(assert_reads_as_oracle(path), str)
+
+    @pytest.mark.parametrize("body,message", [
+        ("\n".join(ROWS).replace("510.0", "nan"), ":3: non-finite value"),
+        ("\n".join(ROWS).replace("2.0,", "inf,"), ":4: non-finite value"),
+        ("\n".join(ROWS).replace("510.0", "1e400"), ":3: non-finite value"),
+        ("\n".join(ROWS).replace("510.0", "-inf"), ":3: non-finite value"),
+        ("\n".join([ROWS[0], "", *ROWS[1:]]), ":3: expected 3 columns, got 1"),
+        ("\n".join([ROWS[0], " \t ", *ROWS[1:]]), ":3: expected 3 columns, got 1"),
+        ("\n".join(ROWS).replace("510.0,-500.0", "510.0,-500.0,"),
+         ":3: expected 3 columns, got 4"),
+        ("\n".join(row + "," for row in ROWS), ":2: expected 3 columns, got 4"),
+        ("\n".join(ROWS).replace("510.0", ""), ":3: non-numeric value"),
+        ("\n".join(ROWS).replace("510.0", "5\x0c10.0"), ":3: expected 3 columns, got 2"),
+        ("\n".join(ROWS).replace("510.0", "510.0\x1f"), ":3: non-numeric value"),
+        ("\n".join(ROWS).replace("510.0", "\x1f510.0"), ":3: non-numeric value"),
+        ("\n".join(ROWS).replace("510.0", "5 10"), ":3: non-numeric value"),
+        ("\n".join(ROWS).replace("510.0", "0x10"), ":3: non-numeric value"),
+        ("\n".join(ROWS).replace("510.0", "510.0\x00"), ":3: non-numeric value"),
+        ("\n".join(ROWS).replace("510.0", '"510.0"'), ":3: non-numeric value"),
+        ("\n".join(ROWS).replace("510.0", "#510.0"), ":3: non-numeric value"),
+        ("\n".join(ROWS).replace("1.0,", "1.0;"), ":3: expected 3 columns, got 2"),
+        ("", ": need at least 3 rows, got 0"),
+        (ROWS[0], ": need at least 3 rows, got 1"),
+        ("\n".join(ROWS[:2]), ": need at least 3 rows, got 2"),
+        ("\n".join(ROWS).replace("2.0,", "1.0,"), ": times must be strictly increasing"),
+        ("\n".join(ROWS).replace("2.0,", "0.5,"), ": times must be strictly increasing"),
+    ], ids=["nan", "inf-time", "overflow", "minus-inf", "blank-line", "whitespace-line",
+            "trailing-comma", "trailing-comma-every-row", "empty-field", "formfeed-in-field",
+            "unit-separator-after", "unit-separator-before", "inner-space", "hex",
+            "nul", "quoted", "comment-sign", "semicolon", "header-only", "one-row",
+            "two-rows", "repeated-time", "decreasing-time"])
+    def test_rejected(self, tmp_path, body, message):
+        path = tmp_path / "candidate.csv"
+        path.write_text("t,x_m,y_m\n" + body + "\n", encoding="utf-8", newline="")
+        assert assert_reads_as_oracle(path) == f"{path}{message}"
+
+    def test_written_file_takes_the_c_reader(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        traj = SampledTrajectory(times=np.cumsum(rng.uniform(0.01, 1.0, 1001)),
+                                 positions=rng.normal(0.0, 1e3, (1001, 2)))
+        path = tmp_path / "candidate.csv"
+        with open(path, "w", encoding="utf-8") as out:
+            write_trajectory_csv(traj, out)
+        monkeypatch.setattr(scenario_io, "_parse_rows", None)  # a call would raise
+        back = read_trajectory_csv(path)
+        assert np.array_equal(back.times, traj.times)
+        assert np.array_equal(back.positions, traj.positions)
+
+
+# Fields: repr'd floats (finite and not), the forms only one parser might read,
+# and short arbitrary text; rows of 1-4 such fields, or blank.
+CSV_FIELDS = (st.floats().map(repr)
+              | st.sampled_from(["nan", "-inf", "1e400", "1e-400", "-0.0", "+.5", "1.", "1_0",
+                                 "\uff11", "\u0661", " 1 ", "\xa01", "1\t", "\x1f1", "1\x1f",
+                                 "", " ", "0x1", "1e", "1,5", "\x00"])
+              | st.text(max_size=4))
+CSV_ROWS = st.lists(CSV_FIELDS, min_size=1, max_size=4).map(",".join) | st.just("")
+LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"])
+
+
+@st.composite
+def trajectory_csv_texts(draw):
+    """A valid trajectory CSV, possibly with some lines replaced or inserted."""
+    n = draw(st.integers(0, 8))
+    times = np.cumsum(draw(hnp.arrays(float, n, elements=st.floats(1e-3, 1e3))))
+    xy = draw(hnp.arrays(float, (n, 2), elements=st.floats(-1e6, 1e6)))
+    lines = [f"{t!r},{x!r},{y!r}" for t, (x, y) in zip(times.tolist(), xy.tolist())]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines)))
+        row = draw(CSV_ROWS)
+        if draw(st.booleans()) and k < len(lines):
+            lines[k] = row
+        else:
+            lines.insert(k, row)
+    return draw(LINE_BREAKS).join(["t,x_m,y_m", *lines]) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300)
+@given(text=trajectory_csv_texts())
+def test_reader_agrees_with_the_per_line_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "candidate.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert_reads_as_oracle(path)
 
 
 def ref(value):
