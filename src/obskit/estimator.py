@@ -10,7 +10,8 @@ quadrature weights. The homogeneous (relative-coordinate) form of the same
 operator, sqrt(W) A_i, is what the observability Gramian factorises; one
 ``observability.gramian`` call factorises sqrt(W) [A_i | b_i] and gives the
 verdict, and the estimator solves from those factors, so the two verdicts
-agree by construction.
+agree by construction. The factors stay stacked by order, so the solve is
+one batched product per order.
 """
 
 from __future__ import annotations
@@ -73,9 +74,11 @@ def estimate_initial_state(
     """Solve the stacked pseudo-linear system for the absolute initial states.
 
     Each target's block is solved by SVD least squares from its factors in
-    ``observability.gramian``; directions whose singular value falls below
-    sqrt(rank_tol) times the block's largest are excluded, which yields the
-    minimum-norm solution (in tau columns) on rank deficiency.
+    ``observability.gramian``, the targets of one order in one batched
+    product; directions whose singular value falls below sqrt(rank_tol)
+    times the block's largest are excluded, which yields the minimum-norm
+    solution (in tau columns) on rank deficiency. The residual norm sums
+    the targets' squared residuals in target order.
 
     Raises:
         DegenerateSystem: If any target has fewer measurement rows than
@@ -88,16 +91,28 @@ def estimate_initial_state(
                 f"target {i}: {len(history.times)} measurement rows for {2 * (p + 1)} unknowns")
 
     g = gramian(observer, history, orders, rank_tol)
-    solution = []
-    residual_sq = 0.0
-    for s, vt, c, rho in g.factors:
-        keep = s > np.sqrt(rank_tol) * s[0]
-        solution.append(g.physical(vt.T @ np.where(keep, c / np.where(keep, s, 1.0), 0.0)))
-        residual_sq += rho ** 2 + float(np.sum(c[~keep] ** 2))
+    solution = np.empty(g.size)
+    residual_sq = np.empty(len(orders))  # each target's squared residual
+    for stack in g.stacks:
+        s, c = stack.s, stack.c
+        keep = s > np.sqrt(rank_tol) * s[:, :1]
+        y = np.where(keep, c / np.where(keep, s, 1.0), 0.0)
+        solution[stack.columns] = g.physical((stack.vt.swapaxes(1, 2) @ y[:, :, None])[..., 0])
+        # s descends, so a block that keeps q directions drops the tail c[q:]. The
+        # blocks that keep q share one row sum, which rounds as each tail's own sum.
+        dropped = np.zeros(len(s))
+        kept = keep.sum(axis=1)
+        for q in set(kept[kept < s.shape[1]].tolist()):
+            rows = kept == q
+            dropped[rows] = np.sum(c[rows, q:] ** 2, axis=1)
+        # C pow, as for the ratios in ``gramian``.
+        residual_sq[stack.targets] = np.float_power(stack.rho, 2) + dropped
+    # cumsum adds left to right: the residuals summed target by target, in target order.
+    residual_norm = float(np.sqrt(np.cumsum(residual_sq)[-1]))
 
     return EstimateResult(
-        x_initial_hat=np.concatenate(solution),
-        residual_norm=float(np.sqrt(residual_sq)),
+        x_initial_hat=solution,
+        residual_norm=residual_norm,
         condition_number=1.0 / g.sigma_ratio if g.sigma_ratio > 0 else np.inf,
         uniqueness=UNIQUE if g.observable else DEGENERATE,
         orders=tuple(orders),
@@ -119,7 +134,9 @@ def cross_validate(scenario: Scenario, result: EstimateResult,
     """Replay bearings from an estimated super state; max deviation in radians.
 
     ``state`` defaults to the result's own estimate; pass a perturbed state
-    to probe invisible (null-space) directions.
+    to probe invisible (null-space) directions. The truth is the scenario's
+    own history (``measure_scenario``), the one the estimate came from when
+    it was measured from the same scenario object.
     """
     if state is None:
         state = result.x_initial_hat

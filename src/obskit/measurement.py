@@ -3,6 +3,9 @@
 Bearing convention: angle from the +y axis toward +x (tan theta = x/y),
 resolved over the full circle with atan2(x, y) and wrapped to (-pi, pi].
 Doppler uses the one-way narrowband model f0 * (1 - range_rate / c).
+A scenario has one measurement history (``measure_scenario``), built from
+the kinematics pass that validated it and then kept on the scenario, so
+every analysis of one loaded scenario reads the same read-only arrays.
 """
 
 from __future__ import annotations
@@ -147,30 +150,46 @@ def design_matrix(thetas: np.ndarray, times: np.ndarray, t0: float, p: int) -> n
 
 
 def measure_scenario(scenario: "Scenario") -> MeasurementHistory:
-    """Evaluate bearings (and Doppler where a tonal exists) over the scenario grid.
+    """The scenario's bearings (and Doppler where a tonal exists) over its grid.
 
-    One ``relative_states`` pass gives every target's kinematics; bearings
-    are one expression over the (M, N) positions and Doppler one ``doppler``
-    call over the range rates of the targets with a tonal.
+    One history per Scenario object: the first call builds it and keeps it
+    on the scenario, with read-only arrays, and every later call returns
+    that same object. The first call reads the kinematics pass that
+    ``scenario_io.validate_scenario`` left on the scenario and then drops
+    it, so a loaded scenario's kinematics are evaluated once. A scenario
+    that was never validated gets its own ``relative_states`` pass, with
+    the scenario's range floor and under the caller's ``np.errstate``.
+    Bearings are one expression over the (M, N) positions and Doppler one
+    ``doppler`` call over the range rates of the targets with a tonal.
 
     Raises:
         ZeroRange: With the offending target index and first offending time
             if any target meets the observer.
     """
+    kept = vars(scenario)  # outside the dataclass fields; see ``Scenario``
+    if "_history" in kept:
+        return kept["_history"]
     times = scenario.grid()
-    try:
-        rel = relative_states(scenario.target_trajectories(), scenario.observer, times,
-                              scenario.tolerances.eps_range)
-    except ZeroRange as exc:
-        raise ZeroRange(
-            f"target {exc.target_index} coincides with observer at t={exc.time}",
-            target_index=exc.target_index, time=exc.time,
-        ) from exc
+    rel = kept.get("_kinematics")
+    if rel is None:
+        try:
+            rel = relative_states(scenario.target_trajectories(), scenario.observer, times,
+                                  scenario.tolerances.eps_range)
+        except ZeroRange as exc:
+            raise ZeroRange(
+                f"target {exc.target_index} coincides with observer at t={exc.time}",
+                target_index=exc.target_index, time=exc.time,
+            ) from exc
     rows = [i for i, target in enumerate(scenario.targets) if target.tonal is not None]
     f0 = np.array([scenario.targets[i].tonal.f0 for i in rows])[:, np.newaxis]
     shifted = dict(zip(rows, doppler(f0, rel.range_rate[rows], scenario.c)))
     dopplers = tuple(shifted.get(i) for i in range(len(scenario.targets)))
-    return MeasurementHistory(times=times, bearings=bearing(rel), dopplers=dopplers)
+    history = MeasurementHistory(times=times, bearings=bearing(rel), dopplers=dopplers)
+    for array in (history.times, history.bearings, *shifted.values()):
+        array.flags.writeable = False
+    kept["_history"] = history
+    kept.pop("_kinematics", None)  # (M, N, 2) arrays the history no longer needs
+    return history
 
 
 def angular_difference(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:

@@ -125,19 +125,40 @@ def _simpson_weights(nodes: int, h: float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class OrderStack:
+    """The factors of the k targets of one order, stacked along a first axis.
+
+    For row j, target ``targets[j]`` with n = 2(p + 1) unknowns: (s[j],
+    vt[j], c[j], rho[j]) come from the R factor of sqrt(W) [A_i S^-1 | b_i]
+    (see ``Gramian``), and ``columns[j]`` are the n entries of that target
+    in the stacked 2s state.
+    """
+
+    targets: np.ndarray  # (k,) target indices, ascending
+    columns: np.ndarray  # (k, n)
+    s: np.ndarray  # (k, n)
+    vt: np.ndarray  # (k, n, n)
+    c: np.ndarray  # (k, n)
+    rho: np.ndarray  # (k,)
+
+
+@dataclass(frozen=True, eq=False)
 class Gramian:
     """Block-diagonal observability Gramian, one R factor per target, and its verdict.
 
     Columns are in tau = (t - t0) / T, T = ``scale`` the window length (1 for
     a zero-length window): A_i S^-1 with S = diag(T^k), k each column's
-    derivative. ``factors[i]`` is (s, vt, c, rho) from the R factor of
-    sqrt(W) [A_i S^-1 | b_i]: u diag(s) vt is its left n x n block (s
-    descending, zero-padded on a grid with fewer nodes than unknowns),
+    derivative. Each target's block is kept as (s, vt, c, rho) from the R
+    factor of sqrt(W) [A_i S^-1 | b_i]: u diag(s) vt is its left n x n block
+    (s descending, zero-padded on a grid with fewer nodes than unknowns),
     c = u^T Q^T sqrt(W) b_i, and rho = |R[n, n]| the residual of b_i.
+    ``stacks`` holds these as the one QR and one SVD per order made them:
+    one ``OrderStack`` per order, ascending, so every use below is one
+    batched expression per order.
     """
 
     scale: float
-    factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], ...]
+    stacks: tuple[OrderStack, ...]
     per_target_sigma_ratios: tuple[float, ...]  # min s^2 / max s^2 per block, 0 if zero
     observable: bool  # every per-target ratio > rank_tol
 
@@ -146,8 +167,15 @@ class Gramian:
         return min(self.per_target_sigma_ratios)
 
     @property
+    def size(self) -> int:  # 2s, the length of the stacked state
+        return sum(stack.columns.size for stack in self.stacks)
+
+    @property
     def singular_values(self) -> np.ndarray:  # each block's s, in target order
-        return np.concatenate([s for s, *_ in self.factors])
+        out = np.empty(self.size)
+        for stack in self.stacks:
+            out[stack.columns] = stack.s
+        return out
 
     @property
     def null_space(self) -> np.ndarray | None:
@@ -156,24 +184,30 @@ class Gramian:
         if self.observable:
             return None
         worst = int(np.argmin(self.per_target_sigma_ratios))
-        v = self.physical(self.factors[worst][1][-1])
-        return np.concatenate([v / np.linalg.norm(v) if i == worst else np.zeros(len(s))
-                               for i, (s, *_) in enumerate(self.factors)])
+        stack = next(stack for stack in self.stacks if worst in stack.targets)
+        j = int(np.searchsorted(stack.targets, worst))
+        v = self.physical(stack.vt[j, -1])
+        out = np.zeros(self.size)
+        out[stack.columns[j]] = v / np.linalg.norm(v)
+        return out
 
     def _column_scales(self, n: int) -> np.ndarray:
         return self.scale ** (np.arange(n) // 2)  # the diagonal of S
 
     def physical(self, state: np.ndarray) -> np.ndarray:
-        """One target's state from tau columns to raw derivatives in seconds: S^-1 state."""
-        return state / self._column_scales(len(state))
+        """States from tau columns to raw derivatives in seconds: S^-1 state,
+        along the last axis."""
+        return state / self._column_scales(state.shape[-1])
 
     def blocks(self) -> tuple[np.ndarray, ...]:
-        """Diagonal blocks A_i^T W A_i = S vt^T diag(s^2) vt S, symmetrized."""
-        blocks = []
-        for s, vt, *_ in self.factors:
-            d = self._column_scales(len(s))
-            block = d[:, None] * ((vt.T * s ** 2) @ vt) * d
-            blocks.append(0.5 * (block + block.T))
+        """Diagonal blocks A_i^T W A_i = S vt^T diag(s^2) vt S, symmetrized, in target order."""
+        blocks: list = [None] * len(self.per_target_sigma_ratios)
+        for stack in self.stacks:
+            d = self._column_scales(stack.s.shape[1])
+            vt = stack.vt
+            block = d[:, None] * ((vt.swapaxes(1, 2) * stack.s[:, None, :] ** 2) @ vt) * d
+            for i, b in zip(stack.targets.tolist(), 0.5 * (block + block.swapaxes(1, 2))):
+                blocks[i] = b
         return tuple(blocks)
 
 
@@ -183,11 +217,11 @@ def gramian(observer: PolynomialTrajectory, history: MeasurementHistory,
 
     Target i, of order ``orders[i]``, gives the block A_i^T W A_i, W the
     weights of ``_simpson_weights``. The targets of one order share one QR
-    (R factor only) and one SVD of the small R blocks (see ``Gramian``). A
-    zero-length window gives zero singular values. The verdict, the one
-    ``check_observable`` reports and ``estimate_initial_state`` solves by, is
-    observable when every block's ratio exceeds ``rank_tol``; in tau it does
-    not depend on the time unit.
+    (R factor only) and one SVD of the small R blocks, kept stacked (see
+    ``Gramian``). A zero-length window gives zero singular values. The
+    verdict, the one ``check_observable`` reports and
+    ``estimate_initial_state`` solves by, is observable when every block's
+    ratio exceeds ``rank_tol``; in tau it does not depend on the time unit.
 
     Raises:
         ValueError: For fewer than 2 grid nodes, or not one order per target.
@@ -204,24 +238,32 @@ def gramian(observer: PolynomialTrajectory, history: MeasurementHistory,
     sqrt_w = np.sqrt(_simpson_weights(nodes, span / (nodes - 1)))[:, None]
     observer_xy = observer.eval(times)
     tau = (times - times[0]) / scale
-    factors: list = [None] * len(orders)
-    for p in sorted(set(orders)):
+    orders = np.asarray(orders)
+    offsets = np.cumsum(2 * (orders + 1)) - 2 * (orders + 1)  # each target's first column
+    ratios = np.zeros(len(orders))
+    stacks = []
+    for p in sorted(set(orders.tolist())):  # np.unique would import numpy.ma
         n = 2 * (p + 1)
-        rows = [i for i, q in enumerate(orders) if q == p]
-        a = design_matrix(history.bearings[rows], tau, 0.0, p)
+        targets = np.flatnonzero(orders == p)
+        a = design_matrix(history.bearings[targets], tau, 0.0, p)
         # Columns 0 and 1 are (cos, -sin): b is the observer's pseudo-linear measurement.
         b = a[:, :, 0] * observer_xy[:, 0] + a[:, :, 1] * observer_xy[:, 1]
         system = np.concatenate([a, b[:, :, None]], axis=2)
         system *= sqrt_w
         r = np.linalg.qr(system, mode="r")
         if nodes < n + 1:  # fewer rows than columns: pad R to square
-            r = np.concatenate([r, np.zeros((len(rows), n + 1 - nodes, n + 1))], axis=1)
+            r = np.concatenate([r, np.zeros((len(targets), n + 1 - nodes, n + 1))], axis=1)
         u, s, vt = np.linalg.svd(r[:, :n, :n])
         c = np.einsum("kji,kj->ki", u, r[:, :n, n])
-        for i, s_i, vt_i, c_i, rho in zip(rows, s, vt, c, np.abs(r[:, n, n]).tolist()):
-            factors[i] = (s_i, vt_i, c_i, rho)
-    ratios = tuple(float((s[-1] / s[0]) ** 2) if s[0] > 0 else 0.0 for s, *_ in factors)
-    return Gramian(scale, tuple(factors), ratios, min(ratios) > rank_tol)
+        stacks.append(OrderStack(targets, offsets[targets, None] + np.arange(n),
+                                 s, vt, c, np.abs(r[:, n, n])))
+        # A zero block (s[0] = 0) keeps ratio 0. Squared with C pow, as a float's
+        # ** 2 is, so each ratio is the per-target float((s[-1] / s[0]) ** 2) bit
+        # for bit (tests/oracles.py); an array's ** 2 is x * x, which differs in
+        # the last bit for about one value in a thousand.
+        ratios[targets] = np.float_power(np.divide(
+            s[:, -1], s[:, 0], out=np.zeros(len(targets)), where=s[:, 0] > 0), 2)
+    return Gramian(scale, tuple(stacks), tuple(ratios.tolist()), bool(ratios.min() > rank_tol))
 
 
 def _close_entries(history: MeasurementHistory,

@@ -72,7 +72,14 @@ class TargetConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Observer, targets, time window/grid, propagation speed, tolerances."""
+    """Observer, targets, time window/grid, propagation speed, tolerances.
+
+    A Scenario object also keeps two things outside its fields, so equality,
+    hashing, ``repr`` and ``dataclasses.replace`` ignore them: the kinematics
+    pass of a successful ``validate_scenario``, until
+    ``measurement.measure_scenario`` builds the scenario's one
+    ``MeasurementHistory`` from it, and then that history.
+    """
 
     observer: PolynomialTrajectory
     targets: tuple[TargetConfig, ...]
@@ -127,7 +134,8 @@ def validate_scenario(scenario: Scenario, points_field: str = "time.points") -> 
     evaluates all targets in one ``relative_states`` pass with no range
     floor and names the first target, in index order, whose range falls
     below ``eps_range`` or whose range or range rate overflows;
-    a target that does both is reported as meeting the observer.
+    a target that does both is reported as meeting the observer. A scenario
+    that passes keeps that pass for ``measurement.measure_scenario``.
     """
     _check_fields(scenario, points_field)
     times = scenario.grid()
@@ -142,6 +150,7 @@ def validate_scenario(scenario: Scenario, points_field: str = "time.points") -> 
     finite = np.isfinite(state.range) & np.isfinite(state.range_rate)
     faulty = np.flatnonzero((near | ~finite).any(axis=1))
     if not faulty.size:
+        vars(scenario)["_kinematics"] = state  # see Scenario
         return
     i = faulty[0]
     if near[i].any():

@@ -61,7 +61,8 @@ class PolynomialTrajectory:
         Returns sum_{k>=d} a_k * k!/(k-d)! * (t - ref_time)^(k-d), shape (2,)
         for a scalar time and (N, 2) for N times; zero when derivative_order
         exceeds the polynomial order. Powers come from repeated
-        multiplication, which rounds identically for scalars and arrays.
+        multiplication, which rounds identically for scalars and arrays, and
+        stop at the last one a term uses.
         """
         if derivative_order < 0:
             raise ValueError(f"derivative_order must be >= 0, got {derivative_order}")
@@ -71,9 +72,10 @@ class PolynomialTrajectory:
         out = np.zeros((2,) + dt.shape)
         power = np.ones_like(dt)
         for k in range(derivative_order, len(self.coeffs)):
+            if k > derivative_order:  # no power past the last term's, which could overflow
+                power = power * dt
             scale = factorial(k) // factorial(k - derivative_order)
             out += (scale * power) * coeffs[:, k]
-            power = power * dt
         return np.ascontiguousarray(out.T)
 
     def padded(self, order: int) -> "PolynomialTrajectory":
@@ -155,10 +157,10 @@ def relative_states(
     ``target.eval(t, 0) - observer.eval(t, 0)`` (and likewise for the first
     derivative) with the powers of ``eval``: rows are processed in order of
     decreasing polynomial order, and the term k loop covers only the rows
-    whose order reaches k, so a low-order row never forms a power its own
-    evaluation would not. Range and range rate are written out per
-    component rather than through ``np.linalg.norm`` or ``@``, so both
-    forms round identically.
+    whose order reaches k, so no row forms a power that none of its terms
+    uses (such a power could overflow on a long window). Range and range
+    rate are written out per component rather than through
+    ``np.linalg.norm`` or ``@``, so both forms round identically.
 
     Raises:
         ZeroRange: If a separation is below ``eps_range`` (range rate and
@@ -189,7 +191,7 @@ def relative_states(
         # power is dt^k: term k of the position, term k + 1 of the velocity.
         position[:, :n] += power[:n] * coeffs[:, k, :n]
         velocity[:, :m] += ((k + 1) * power[:m]) * coeffs[:, k + 1, :m]
-        power[:n] *= dt[:n]
+        power[:m] *= dt[:m]  # dt^(k + 1), for the rows whose order reaches k + 1
     back = np.argsort(rows)
     targets, own = back[:-1], back[-1:]
     position = position[:, targets] - position[:, own]

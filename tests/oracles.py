@@ -6,6 +6,11 @@ is the row of ``measurement.design_matrix`` at (theta, t).
 ``polynomial_eval`` is ``PolynomialTrajectory.eval`` with the time axis
 first, one ``np.multiply.outer`` per term. ``read_trajectory_csv_per_line``
 reads a trajectory CSV with one ``float()`` per field, line by line.
+``per_target_factors`` splits ``observability.Gramian``'s per-order stacks
+into one (s, vt, c, rho) per target; ``blocks_per_target``,
+``singular_values_per_target``, ``null_space_per_target`` and
+``solve_per_target`` compute the Gramian's outputs and the estimator's
+solve from those, one target at a time.
 """
 
 from math import factorial
@@ -89,3 +94,52 @@ def read_trajectory_csv_per_line(path) -> SampledTrajectory:
     if not np.all(np.diff(times) > 0):
         raise ParseError(f"{path}: times must be strictly increasing")
     return SampledTrajectory(times=times, positions=positions)
+
+
+def per_target_factors(g) -> list[tuple]:
+    """(s, vt, c, rho) of each target of a ``Gramian``, in target order; rho a float."""
+    factors: list = [None] * len(g.per_target_sigma_ratios)
+    for stack in g.stacks:
+        for j, i in enumerate(stack.targets.tolist()):
+            factors[i] = (stack.s[j], stack.vt[j], stack.c[j], float(stack.rho[j]))
+    return factors
+
+
+def sigma_ratios_per_target(g) -> tuple[float, ...]:
+    return tuple(float((s[-1] / s[0]) ** 2) if s[0] > 0 else 0.0
+                 for s, *_ in per_target_factors(g))
+
+
+def blocks_per_target(g) -> tuple[np.ndarray, ...]:
+    """``Gramian.blocks``: S vt^T diag(s^2) vt S per target, symmetrized."""
+    blocks = []
+    for s, vt, *_ in per_target_factors(g):
+        d = g.scale ** (np.arange(len(s)) // 2)
+        block = d[:, None] * ((vt.T * s ** 2) @ vt) * d
+        blocks.append(0.5 * (block + block.T))
+    return tuple(blocks)
+
+
+def singular_values_per_target(g) -> np.ndarray:
+    return np.concatenate([s for s, *_ in per_target_factors(g)])
+
+
+def null_space_per_target(g) -> np.ndarray | None:
+    if g.observable:
+        return None
+    factors = per_target_factors(g)
+    worst = int(np.argmin(g.per_target_sigma_ratios))
+    v = g.physical(factors[worst][1][-1])
+    return np.concatenate([v / np.linalg.norm(v) if i == worst else np.zeros(len(s))
+                           for i, (s, *_) in enumerate(factors)])
+
+
+def solve_per_target(g, rank_tol: float) -> tuple[np.ndarray, float]:
+    """``estimate_initial_state``'s (x_initial_hat, residual_norm), target by target."""
+    solution = []
+    residual_sq = 0.0
+    for s, vt, c, rho in per_target_factors(g):
+        keep = s > np.sqrt(rank_tol) * s[0]
+        solution.append(g.physical(vt.T @ np.where(keep, c / np.where(keep, s, 1.0), 0.0)))
+        residual_sq += rho ** 2 + float(np.sum(c[~keep] ** 2))
+    return np.concatenate(solution), float(np.sqrt(residual_sq))

@@ -1,17 +1,19 @@
 import importlib
 import io
 import json
+import pkgutil
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from obskit import cli, scenario_io, selftest
+import obskit
+from obskit import cli, scenario_io, selftest, trajectory
 from obskit.ambiguity import (DopplerAmbiguitySpec, _profile_values, generate_bearing_ambiguous,
                               generate_doppler_ambiguous)
 from obskit.cli import run_cli
-from obskit.measurement import Tonal
+from obskit.measurement import Tonal, measure_scenario
 from obskit.scenario_io import TargetConfig, dumps_json, save_scenario, write_trajectory_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,6 +122,59 @@ class TestEstimate:
     def test_starved_grid_exits_two(self, tmp_path, capsys):
         assert run_cli(["estimate", str(DOPPLER_BASE), "--grid-points", "2"]) == 2
         assert "analysis error" in capsys.readouterr().err
+
+
+class TestKinematicsPasses:
+    """Validation and measurement share one ``relative_states`` pass per loaded scenario."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Grid lengths of every ``relative_states`` call, in every module that imports it."""
+        calls = []
+        real = trajectory.relative_states
+
+        def counting(*args, **kwargs):
+            calls.append(np.size(args[2]))
+            return real(*args, **kwargs)
+
+        for info in pkgutil.iter_modules(obskit.__path__):
+            if info.name == "__main__":  # runs the CLI on import
+                continue
+            module = importlib.import_module(f"obskit.{info.name}")
+            if getattr(module, "relative_states", None) is real:
+                monkeypatch.setattr(module, "relative_states", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["observability", str(OBSERVABLE)], [61]),
+        (["simulate", str(OBSERVABLE)], [61]),
+        (["simulate", str(OBSERVABLE), "--grid-points", "301"], [301]),
+        # The shared pass, then the replay of the estimate.
+        (["estimate", str(OBSERVABLE)], [61, 61]),
+        # Degenerate: no replay.
+        (["estimate", str(COLLINEAR)], [81]),
+    ])
+    def test_one_pass_per_loaded_scenario(self, passes, argv, expected, capsys):
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        assert passes == expected
+
+    # Validation accepts this scenario: range and range rate are finite on
+    # the grid. Only t^4, which no term of the cubic observer uses, overflows.
+    UNUSED_POWER = {"observer": {"coeffs": [[10.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                            [1e-90, 1e-90]]},
+                    "targets": [{"coeffs": [[1000.0, 500.0]]}],
+                    "time": {"start": 0.0, "end": 1e78, "points": 11}}
+
+    def test_an_unused_power_is_never_formed(self, tmp_path, capsys):
+        path = tmp_path / "unused_power.json"
+        path.write_text(json.dumps(self.UNUSED_POWER))
+        assert run_cli(["simulate", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 11
+        # A scenario never validated is measured by the same kernel, so it agrees.
+        direct = replace(scenario_io.load_scenario(path))
+        with np.errstate(all="raise"):
+            assert measure_scenario(direct).bearings.shape == (1, 11)
 
 
 class TestAmbiguity:

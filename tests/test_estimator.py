@@ -3,18 +3,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
 from obskit.errors import DegenerateSystem
 from obskit.estimator import (DEGENERATE, UNIQUE, cross_validate,
                               estimate_initial_state, split_state)
 from obskit.measurement import (MeasurementHistory, angular_difference, design_matrix,
                                 measure_scenario, wrap_angle)
-from obskit.observability import OBSERVABLE, _simpson_weights, check_observable
+from obskit.observability import OBSERVABLE, _simpson_weights, check_observable, gramian
 from obskit.scenario_io import Scenario, TargetConfig
 from obskit.selftest import (collinear_scenario, random_rank_scenario,
                              random_rank_scenario_conditioned, random_scenario)
 from obskit.trajectory import (PolynomialTrajectory, state_from_trajectory,
                                trajectory_from_state)
+
+import oracles
 
 
 def maneuvering_static_target_scenario():
@@ -201,3 +205,37 @@ class TestVerdictConsistency:
         assert len(data["x_initial_hat"]) == 2
         assert data["null_space"] is None
         assert json.loads(json.dumps(data)) == data
+
+
+@st.composite
+def rank_scenarios(draw):
+    """random_rank_scenario draws, and draws of 2-5 targets of orders 0-3 whose
+    observer order, 0-2 or two above the targets, leaves blocks of mixed
+    orders degenerate or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return random_rank_scenario(rng)
+    return random_scenario(rng, m_targets=draw(st.integers(2, 5)), target_order_max=3,
+                           observer_order=draw(st.sampled_from([0, 1, 2, None])),
+                           grid_points=draw(st.sampled_from([9, 40, 101])))
+
+
+@given(scenario=rank_scenarios(), rank_tol=st.sampled_from([1e-8, 1e-3]))
+def test_order_stacks_match_per_target_loops(scenario, rank_tol):
+    history = measure_scenario(scenario)
+    orders = list(scenario.effective_orders())
+    g = gramian(scenario.observer, history, orders, rank_tol)
+    result = estimate_initial_state(scenario.observer, history, orders, rank_tol)
+    dropped = [s[-1] <= np.sqrt(rank_tol) * s[0] for s, *_ in oracles.per_target_factors(g)]
+    event(f"mixed orders: {len(set(orders)) > 1}, blocks dropping directions: {sum(dropped)}")
+    x_initial_hat, residual_norm = oracles.solve_per_target(g, rank_tol)
+    assert np.array_equal(result.x_initial_hat, x_initial_hat)
+    assert result.residual_norm == residual_norm
+    assert g.per_target_sigma_ratios == oracles.sigma_ratios_per_target(g)
+    blocks = g.blocks()
+    assert len(blocks) == len(orders)
+    assert all(map(np.array_equal, blocks, oracles.blocks_per_target(g)))
+    assert np.array_equal(g.singular_values, oracles.singular_values_per_target(g))
+    expected = oracles.null_space_per_target(g)
+    assert (g.null_space is None) == (expected is None)
+    assert expected is None or np.array_equal(g.null_space, expected)

@@ -1,5 +1,8 @@
 import io
+import json
 import math
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from obskit.errors import ZeroRange
 from obskit.measurement import (MeasurementHistory, Tonal, angular_difference,
                                 bearing, design_matrix, doppler, measure_scenario,
                                 wrap_angle)
-from obskit.scenario_io import Scenario, TargetConfig, write_measurements_csv
+from obskit.scenario_io import (Scenario, TargetConfig, scenario_from_dict,
+                                write_measurements_csv)
 from obskit.selftest import random_scenario
 from obskit.trajectory import PolynomialTrajectory, RelativeState, relative_state
 
@@ -182,6 +186,71 @@ class TestMeasureScenario:
             measure_scenario(scenario)
         assert excinfo.value.target_index == 0
         assert excinfo.value.time == pytest.approx(5.0)
+
+
+def overflowing_scenario():
+    """Built directly, never validated: the range overflows, so the range rate is 0 / inf."""
+    return Scenario(
+        observer=PolynomialTrajectory(0.0, ((0.0, 0.0),)),
+        targets=(TargetConfig(PolynomialTrajectory(0.0, ((1e300, 0.0), (0.0, 1e300))),
+                              Tonal(500.0)),),
+        t_start=0.0, t_end=10.0, grid_points=11,
+    )
+
+
+TWO_TARGETS = {"observer": {"coeffs": [[0.0, 0.0], [5.0, 1.0], [0.0, 0.4]]},
+               "targets": [{"coeffs": [[400.0, 300.0], [1.0, -2.0]], "tonal_hz": 700.0},
+                           {"coeffs": [[-300.0, 500.0]]}],
+               "time": {"start": 0.0, "end": 40.0, "points": 41}}
+
+
+class TestOneHistoryPerScenario:
+    def test_unvalidated_overflow_warns_as_the_kernel_does(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            history = measure_scenario(overflowing_scenario())
+        assert [(w.category, str(w.message)) for w in caught] == (
+            [(RuntimeWarning, "overflow encountered in multiply")] * 3
+            + [(RuntimeWarning, "invalid value encountered in divide")])
+        assert np.isnan(history.dopplers[0][1:]).all()
+
+    def test_unvalidated_overflow_raises_under_errstate_raise(self):
+        with np.errstate(all="raise"), pytest.raises(
+                FloatingPointError, match="^overflow encountered in multiply$"):
+            measure_scenario(overflowing_scenario())
+
+    def test_replaced_scenario_is_measured_on_its_own_grid(self):
+        scenario = scenario_from_dict(json.loads(json.dumps(TWO_TARGETS)))
+        assert len(measure_scenario(scenario).times) == 41
+        finer = replace(scenario, grid_points=81)
+        fresh = scenario_from_dict(dict(TWO_TARGETS, time={"start": 0.0, "end": 40.0,
+                                                           "points": 81}))
+        history, expected = measure_scenario(finer), measure_scenario(fresh)
+        assert np.array_equal(history.times, expected.times)
+        assert np.array_equal(history.bearings, expected.bearings)
+        assert np.array_equal(history.dopplers[0], expected.dopplers[0])
+        assert len(measure_scenario(scenario).times) == 41
+
+    def test_one_read_only_history_per_scenario(self):
+        for scenario in (scenario_from_dict(json.loads(json.dumps(TWO_TARGETS))),
+                         static_scenario()):
+            history = measure_scenario(scenario)
+            assert measure_scenario(scenario) is history
+            for array in (history.times, history.bearings, history.dopplers[0]):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+
+    def test_equality_and_hash_see_only_the_fields(self):
+        measured = scenario_from_dict(json.loads(json.dumps(TWO_TARGETS)))
+        measure_scenario(measured)
+        loaded = scenario_from_dict(json.loads(json.dumps(TWO_TARGETS)))
+        direct = replace(loaded)
+        for other in (loaded, direct):
+            assert measured == other and hash(measured) == hash(other)
+            assert repr(measured) == repr(other)
+        assert [f.name for f in fields(Scenario)] == [
+            "observer", "targets", "t_start", "t_end", "grid_points", "c", "tolerances"]
 
 
 class TestPseudoLinearIdentity:
