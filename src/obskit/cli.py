@@ -15,7 +15,9 @@ builds it once, as before.
 doppler regime's rotation ``rate * (t - t0)`` and the bearing regime's scale
 ``1 + amplitude * sin(rate * (t - t0))``, with t0 the window start. These
 arrays equal the per-node values, so the output is that of the same
-profiles passed to the library as callables.
+profiles passed to the library as callables. It formats each generated
+value once: the trajectory CSV and the certificate's ``trajectory_i`` are
+written from one ``scenario_io.TrajectoryTexts``.
 
 Exit codes: 0 success, 1 validation/input error or an output path that
 cannot be written, 2 analysis error
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +42,7 @@ from .errors import (DegenerateSystem, NonPositiveAlpha, NonPositiveRange, Parse
 from .estimator import UNIQUE, cross_validate, estimate_initial_state
 from .measurement import measure_scenario
 from .observability import check_observable, report_text
-from .scenario_io import (Scenario, _finite, dumps_json, load_scenario,
+from .scenario_io import (Scenario, TrajectoryTexts, _finite, dumps_json, load_scenario,
                           read_trajectory_csv, write_measurements_csv,
                           write_trajectory_csv)
 
@@ -149,9 +152,12 @@ def _cmd_ambiguity_generate(args: argparse.Namespace) -> int:
     prefix = args.output
     traj_path = Path(f"{prefix}_trajectory.csv")
     cert_path = Path(f"{prefix}_certificate.json")
+    texts = TrajectoryTexts(generated)  # formatted by the CSV writer, reused in the JSON
     with open(traj_path, "w", encoding="utf-8") as out:
-        write_trajectory_csv(generated, out)
-    cert_path.write_text(dumps_json(certificate.to_dict()), encoding="utf-8")
+        write_trajectory_csv(texts, out)
+    # The certificate's dict, with the generated trajectory's float lists as those texts.
+    data = replace(certificate, trajectory_i=texts).to_dict()
+    cert_path.write_text(dumps_json(data), encoding="utf-8")
     sys.stdout.write(f"wrote {traj_path} and {cert_path} "
                      f"(verdict: {certificate.verdict})\n")
     return 0

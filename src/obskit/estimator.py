@@ -16,6 +16,7 @@ one batched product per order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,8 @@ def estimate_initial_state(
     product; directions whose singular value falls below sqrt(rank_tol)
     times the block's largest are excluded, which yields the minimum-norm
     solution (in tau columns) on rank deficiency. The residual norm sums
-    the targets' squared residuals in target order.
+    the targets' squared residuals in target order, each term first divided
+    by a power of two near the largest, so that no square overflows.
 
     Raises:
         DegenerateSystem: If any target has fewer measurement rows than
@@ -91,11 +93,18 @@ def estimate_initial_state(
                 f"target {i}: {len(history.times)} measurement rows for {2 * (p + 1)} unknowns")
 
     g = gramian(observer, history, orders, rank_tol)
+    keeps = [stack.s > np.sqrt(rank_tol) * stack.s[:, :1] for stack in g.stacks]
+    # Each residual term (a rho or a dropped c) is divided by a power of two near
+    # the largest before it is squared, so no square overflows. Dividing by a
+    # power of two is exact, so each square, sum and root rounds as the unscaled
+    # one did wherever that neither overflowed nor underflowed.
+    largest = max(max(abs(stack.rho).max(), abs(np.where(keep, 0.0, stack.c)).max())
+                  for stack, keep in zip(g.stacks, keeps))
+    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1) if largest > 0 else 1.0
     solution = np.empty(g.size)
-    residual_sq = np.empty(len(orders))  # each target's squared residual
-    for stack in g.stacks:
+    residual_sq = np.empty(len(orders))  # each target's squared residual over scale²
+    for stack, keep in zip(g.stacks, keeps):
         s, c = stack.s, stack.c
-        keep = s > np.sqrt(rank_tol) * s[:, :1]
         y = np.where(keep, c / np.where(keep, s, 1.0), 0.0)
         solution[stack.columns] = g.physical((stack.vt.swapaxes(1, 2) @ y[:, :, None])[..., 0])
         # s descends, so a block that keeps q directions drops the tail c[q:]. The
@@ -104,11 +113,11 @@ def estimate_initial_state(
         kept = keep.sum(axis=1)
         for q in set(kept[kept < s.shape[1]].tolist()):
             rows = kept == q
-            dropped[rows] = np.sum(c[rows, q:] ** 2, axis=1)
+            dropped[rows] = np.sum((c[rows, q:] / scale) ** 2, axis=1)
         # C pow, as for the ratios in ``gramian``.
-        residual_sq[stack.targets] = np.float_power(stack.rho, 2) + dropped
+        residual_sq[stack.targets] = np.float_power(stack.rho / scale, 2) + dropped
     # cumsum adds left to right: the residuals summed target by target, in target order.
-    residual_norm = float(np.sqrt(np.cumsum(residual_sq)[-1]))
+    residual_norm = float(np.sqrt(np.cumsum(residual_sq)[-1]) * scale)
 
     return EstimateResult(
         x_initial_hat=solution,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -344,30 +344,90 @@ def fields_dict(obj: Any) -> dict:
 
 # np.float64 subclasses float, so float.__repr__ writes it as the equal Python float.
 _FLOAT_TYPES = {float, np.float64}
+_NON_FINITE = {"nan", "inf", "-inf"}
 
 
-def _float_texts(values: list | tuple):
-    """Each value's repr (non-finite ones as null), or None unless all are floats."""
-    if not set(map(type, values)) <= _FLOAT_TYPES:
-        return None
-    if all(map(math.isfinite, values)):
-        return map(float.__repr__, values)
-    return [float.__repr__(v) if math.isfinite(v) else "null" for v in values]
+def _reprs(values: list) -> list[str]:
+    """Each float's repr. The float lists and matrices of ``dumps_json``, the
+    trajectory CSV's columns and the measurement CSV's times are formatted here."""
+    return list(map(float.__repr__, values))
 
 
-def _encode_rows(rows: list | tuple, nl: str) -> str | None:
-    """Body of a list of equal-length float rows (a matrix), or None if it is not one."""
-    if not set(map(type, rows)) <= {list, tuple}:
-        return None
-    widths = set(map(len, rows))
-    if len(widths) != 1 or 0 in widths:
-        return None
-    texts = _float_texts(list(chain.from_iterable(rows)))
-    if texts is None:
-        return None
+class FloatTexts:
+    """Floats formatted once: each value's repr, row-major.
+
+    ``dumps_json`` writes one where a list of floats (``width`` None) or a
+    matrix of rows of ``width`` floats would be, with the bytes it would
+    write for those floats: the texts unchanged, or null for the non-finite
+    ones when ``finite`` is False.
+    """
+
+    # A plain class: a frozen dataclass costs about 1 ms more at import.
+    __slots__ = ("texts", "width", "finite")
+
+    def __init__(self, texts: list[str], width: int | None, finite: bool):
+        self.texts, self.width, self.finite = texts, width, finite
+
+
+def _format_array(values: np.ndarray) -> FloatTexts:
+    """The texts of a 1-D float array (a list) or of a 2-D one (a matrix)."""
+    return FloatTexts(_reprs(values.ravel().tolist()),
+                      values.shape[1] if values.ndim == 2 else None,
+                      bool(np.isfinite(values).all()))
+
+
+class TrajectoryTexts:
+    """A sampled trajectory's times and positions, formatted once, on first use.
+
+    ``write_trajectory_csv`` writes its rows from these texts, and
+    ``to_dict()`` is ``trajectory.to_dict()`` with FloatTexts in place of
+    the float lists, for ``dumps_json``. Passing one object to both writers
+    formats each value once for the two files.
+    """
+
+    def __init__(self, trajectory: SampledTrajectory):
+        self.trajectory = trajectory
+
+    @cached_property
+    def times(self) -> FloatTexts:
+        return _format_array(self.trajectory.times)
+
+    @cached_property
+    def positions(self) -> FloatTexts:
+        return _format_array(self.trajectory.positions)
+
+    def to_dict(self) -> dict:
+        return {"type": "sampled", "times": self.times, "positions": self.positions}
+
+
+def _float_texts(values: list | tuple) -> FloatTexts | None:
+    """The texts of a float list or of equal-length float rows, else None."""
+    width, types = None, set(map(type, values))
+    if not types <= _FLOAT_TYPES:
+        if not types <= {list, tuple}:
+            return None
+        widths = set(map(len, values))
+        if len(widths) != 1 or 0 in widths:
+            return None
+        width = widths.pop()
+        values = list(chain.from_iterable(values))
+        if not set(map(type, values)) <= _FLOAT_TYPES:
+            return None
+    return FloatTexts(_reprs(values), width, all(map(math.isfinite, values)))
+
+
+def _encode_floats(floats: FloatTexts, nl: str) -> str:
+    """JSON text of a float list or matrix from its texts (``nl`` as in ``_encode``)."""
+    texts = floats.texts
+    if not floats.finite:
+        texts = ["null" if text in _NON_FINITE else text for text in texts]
     inner = nl + "  "
-    row = "[" + inner + ("," + inner).join(["%s"] * widths.pop()) + nl + "]"
-    return ("," + nl).join([row] * len(rows)) % tuple(texts)
+    if floats.width is None:
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
+    cell = inner + "  "
+    row = "[" + cell + ("," + cell).join(["%s"] * floats.width) + inner + "]"
+    rows = ("," + inner).join([row] * (len(texts) // floats.width))
+    return "[" + inner + rows % tuple(texts) + nl + "]"
 
 
 def _encode(value: Any, nl: str) -> str:
@@ -384,12 +444,13 @@ def _encode(value: Any, nl: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        floats = _float_texts(value)
+        if floats is not None:
+            return _encode_floats(floats, nl)
         inner = nl + "  "
-        texts = _float_texts(value)
-        body = ("," + inner).join(texts) if texts is not None else _encode_rows(value, inner)
-        if body is None:
-            body = ("," + inner).join([_encode(v, inner) for v in value])
-        return "[" + inner + body + nl + "]"
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in value]) + nl + "]"
+    if isinstance(value, FloatTexts):
+        return _encode_floats(value, nl)
     if value is None:
         return "null"
     if value is True:
@@ -415,6 +476,13 @@ def dumps_json(data: Any) -> str:
     floats take their ``repr`` digits, and dict keys must be strings. A list
     of floats, or of equal-length float rows such as a matrix, is written
     with one join.
+
+    A ``FloatTexts`` stands where such a list or matrix would be, holding
+    its floats already formatted; its texts are written unchanged, except
+    that the non-finite ones are written as ``null``, so the bytes are those
+    of the floats it was made from. ``TrajectoryTexts.to_dict()`` puts them
+    in a sampled trajectory's place, so that a trajectory whose texts
+    ``write_trajectory_csv`` already made is not formatted again.
     """
     return _encode(data, "\n") + "\n"
 
@@ -427,7 +495,7 @@ def write_measurements_csv(history: MeasurementHistory, out: TextIO) -> None:
     column is left empty for targets without a tonal.
     """
     out.write("t,target_id,bearing_rad,doppler_hz\n")
-    times = list(map(float.__repr__, history.times.tolist()))
+    times = _reprs(history.times.tolist())
     row, columns = "", []
     for i, (bearings, dop) in enumerate(zip(history.bearings.tolist(), history.dopplers)):
         if dop is None:
@@ -439,11 +507,20 @@ def write_measurements_csv(history: MeasurementHistory, out: TextIO) -> None:
     out.write("".join(map(row.__mod__, zip(*columns))))
 
 
-def write_trajectory_csv(traj: SampledTrajectory, out: TextIO) -> None:
-    """Sampled trajectory as CSV with columns t,x_m,y_m (same conventions as above)."""
+def write_trajectory_csv(traj: SampledTrajectory | TrajectoryTexts, out: TextIO) -> None:
+    """Sampled trajectory as CSV with columns t,x_m,y_m (same conventions as above).
+
+    The rows are written from the trajectory's ``TrajectoryTexts``, each
+    value's ``repr`` (``nan`` and ``inf`` included). Pass a TrajectoryTexts
+    instead of the trajectory to share its texts with ``dumps_json``.
+    """
+    if not isinstance(traj, TrajectoryTexts):
+        traj = TrajectoryTexts(traj)
+    times, xy = traj.times.texts, traj.positions.texts
+    cells = [""] * (3 * len(times))
+    cells[0::3], cells[1::3], cells[2::3] = times, xy[0::2], xy[1::2]
     out.write("t,x_m,y_m\n")
-    xs, ys = traj.positions.T.tolist()
-    out.write("".join(map("%r,%r,%r\n".__mod__, zip(traj.times.tolist(), xs, ys))))
+    out.write("%s,%s,%s\n" * len(times) % tuple(cells))
 
 
 def _parse_rows(path: str | Path, rows: list[str]) -> tuple[np.ndarray, np.ndarray]:

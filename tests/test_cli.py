@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import io
 import json
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import obskit
 from obskit import cli, scenario_io, selftest, trajectory
@@ -175,6 +178,18 @@ class TestKinematicsPasses:
         direct = replace(scenario_io.load_scenario(path))
         with np.errstate(all="raise"):
             assert measure_scenario(direct).bearings.shape == (1, 11)
+
+    def test_every_command_runs_on_the_huge_window(self, tmp_path, capsys):
+        # The estimate scales its residual terms before squaring them, so none overflows.
+        path = tmp_path / "unused_power.json"
+        path.write_text(json.dumps(self.UNUSED_POWER))
+        outputs = {}
+        for command in ("simulate", "observability", "estimate"):
+            code = run_cli([command, str(path)])
+            outputs[command] = capsys.readouterr()
+            assert code == 0, outputs[command].err
+        residual = json.loads(outputs["estimate"].out)["residual_norm"]
+        assert np.isfinite(residual) and residual > 0
 
 
 class TestAmbiguity:
@@ -609,6 +624,65 @@ def test_generate_profiles_equal_the_per_node_callables(tmp_path, monkeypatch, c
             assert Path(f"{prefix}_certificate.json").read_text() == dumps_json(
                 certificate.to_dict())
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("regime", ["doppler", "bearing"])
+@pytest.mark.parametrize("n", [3, 101])
+def test_generate_formats_each_value_once(tmp_path, monkeypatch, capsys, regime, n):
+    """The CSV and the certificate share one set of texts: 3N generated values
+    are formatted at N grid points, not 3N for each file."""
+    calls = []
+    reprs = scenario_io._reprs
+    monkeypatch.setattr(scenario_io, "_reprs",
+                        lambda values: calls.append(len(values)) or reprs(values))
+    prefix = tmp_path / "pair"
+    assert run_cli(["ambiguity", "generate", str(DOPPLER_BASE), "--regime", regime,
+                    "--grid-points", str(n), "-o", str(prefix)]) == 0
+    capsys.readouterr()
+    certificate = json.loads(Path(f"{prefix}_certificate.json").read_text())
+    base_coeffs = sum(map(len, certificate["trajectory_j"]["coeffs"]))
+    print(f"{regime}, N={n}: {sum(calls)} values formatted {calls}")
+    # Times and positions once each; the base target's coefficients and the tonals.
+    assert sorted(calls) == sorted([n, 2 * n, base_coeffs, len(certificate["tonals"])])
+
+
+@st.composite
+def extreme_scenario_files(draw):
+    """Scenario files whose window spans 1e-3 to 1e150 s and whose k-th
+    coefficients move the position by up to 1e150 m over the window."""
+    exponent = draw(st.integers(-3, 150))
+    length = draw(st.floats(1.0, 9.99)) * 10.0 ** exponent
+
+    def coeffs():
+        return [[draw(st.floats(-9.99, 9.99)) * 10.0 ** (draw(st.integers(-150, 150))
+                                                         - k * exponent) for _ in range(2)]
+                for k in range(draw(st.integers(1, 4)))]
+
+    start = draw(st.floats(-9.99, 9.99)) * 10.0 ** draw(st.integers(-3, 150))
+    return {"observer": {"coeffs": coeffs()},
+            "targets": [{"coeffs": coeffs()} for _ in range(draw(st.integers(1, 2)))],
+            "time": {"start": start, "end": start + length,
+                     "points": draw(st.integers(3, 15))}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=extreme_scenario_files())
+def test_loadable_file_runs_in_every_command(tmp_path_factory, data):
+    """A file that loads either runs, or each failure exits 2 and names its cause."""
+    path = tmp_path_factory.mktemp("extreme") / "scenario.json"
+    path.write_text(json.dumps(data))
+    outcomes = []
+    for command in ("simulate", "observability", "estimate"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            outcomes.append((run_cli([command, str(path)]), err.getvalue()))
+    if outcomes[0][0] == 1:  # rejected by the loader, so by every command
+        event("rejected")
+        assert all(code == 1 and err.startswith("error: ") for code, err in outcomes)
+        return
+    event(f"loaded, exit codes {[code for code, _ in outcomes]}")
+    for code, err in outcomes:
+        assert code == 0 and not err or code == 2 and err.startswith("analysis error: "), err
 
 
 @pytest.mark.parametrize("regime,option", [("doppler", "--rotation-rate"),

@@ -17,8 +17,8 @@ from obskit.estimator import estimate_initial_state
 from obskit.measurement import measure_scenario
 from obskit.observability import check_observable
 from obskit import scenario_io
-from obskit.scenario_io import (Scenario, TargetConfig, Tolerances, dumps_json,
-                                load_scenario, read_trajectory_csv, save_scenario,
+from obskit.scenario_io import (Scenario, TargetConfig, Tolerances, TrajectoryTexts,
+                                dumps_json, load_scenario, read_trajectory_csv, save_scenario,
                                 scenario_from_dict, scenario_to_dict,
                                 validate_scenario, write_trajectory_csv)
 from obskit.selftest import collinear_scenario, random_observer
@@ -429,6 +429,63 @@ LEAVES = SCALARS | FLOAT_LISTS | FLOAT_ROWS | ARRAYS
     max_leaves=12))
 def test_dumps_json_matches_stdlib_reference(value):
     assert dumps_json(value) == json.dumps(ref(value), indent=2, allow_nan=False) + "\n"
+
+
+def csv_reference(traj: SampledTrajectory) -> str:
+    return "t,x_m,y_m\n" + "".join(
+        "%r,%r,%r\n" % (t, x, y) for t, (x, y) in zip(traj.times.tolist(),
+                                                    traj.positions.tolist()))
+
+
+def assert_shared_texts_write_the_floats(traj: SampledTrajectory):
+    """One TrajectoryTexts gives the CSV and the JSON bytes of the floats it holds."""
+    texts = TrajectoryTexts(traj)
+    out = io.StringIO()
+    write_trajectory_csv(texts, out)
+    assert out.getvalue() == csv_reference(traj)
+    # Nested, as in a certificate, and at the top level.
+    certificate = {"regime": "doppler", "tonals": [800.0, 800.0],
+                   "trajectory_i": texts.to_dict(), "trajectory_j": {"coeffs": [[1.0, 2.0]]}}
+    reference = {**certificate, "trajectory_i": traj.to_dict()}
+    for data, expected in [(certificate, reference), (texts.to_dict(), traj.to_dict())]:
+        assert dumps_json(data) == json.dumps(ref(expected), indent=2, allow_nan=False) + "\n"
+    return out.getvalue(), dumps_json(texts.to_dict())
+
+
+class TestSharedTrajectoryTexts:
+    # Values on both sides of repr's switches between fixed and exponent
+    # notation, signed zero, the smallest subnormal and other subnormals.
+    EDGES = [1e16, 9999999999999998.0, 1e-4, 9.9e-5, -0.0, 5e-324, 1e-310,
+             2.225073858507201e-308, 2.2250738585072014e-308, 0.1, -1.5e300]
+
+    def test_notation_edges(self):
+        times = sorted(set(self.EDGES) - {-0.0}) + [1e17]
+        positions = list(zip(self.EDGES, self.EDGES[::-1]))
+        traj = SampledTrajectory(times=times, positions=positions)
+        csv, text = assert_shared_texts_write_the_floats(traj)
+        for literal in ("1e+16", "9999999999999998.0", "0.0001", "9.9e-05", "-0.0",
+                        "5e-324", "1e-310"):
+            assert literal in csv and literal in text
+
+    def test_non_finite_values_keep_their_two_spellings(self):
+        traj = SampledTrajectory(times=[-math.inf, 0.0, 1.0, math.inf],
+                                 positions=[(math.nan, 1.0), (math.inf, -math.inf),
+                                            (2.0, math.nan), (-0.0, 3.0)])
+        csv, text = assert_shared_texts_write_the_floats(traj)
+        assert csv.splitlines()[1:] == ["-inf,nan,1.0", "0.0,inf,-inf", "1.0,2.0,nan",
+                                        "inf,-0.0,3.0"]
+        assert "nan" not in text and "inf" not in text and text.count("null") == 6
+
+    # Strictly increasing times whose differences do not overflow.
+    TIMES = st.floats(-1e300, 1e300) | st.sampled_from(
+        [-math.inf, math.inf, 5e-324, 2.2e-308, 1e-5, 1e16])
+
+    @settings(max_examples=200)
+    @given(times=st.lists(TIMES, min_size=2, max_size=8, unique=True).map(sorted),
+           data=st.data())
+    def test_random_values(self, times, data):
+        positions = data.draw(hnp.arrays(np.float64, (len(times), 2), elements=FLOATS))
+        assert_shared_texts_write_the_floats(SampledTrajectory(times, positions))
 
 
 def test_report_keys_follow_field_order():
