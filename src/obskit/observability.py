@@ -200,14 +200,20 @@ class Gramian:
         return state / self._column_scales(state.shape[-1])
 
     def blocks(self) -> tuple[np.ndarray, ...]:
-        """Diagonal blocks A_i^T W A_i = S vt^T diag(s^2) vt S, symmetrized, in target order."""
+        """Diagonal blocks A_i^T W A_i = S vt^T diag(s^2) vt S, symmetrized, in target order.
+
+        An entry beyond the float range is inf or nan (the report writes it
+        as null), not an error: the verdict is taken in tau columns, where
+        the spectrum stays finite while S^2 overflows on a huge window.
+        """
         blocks: list = [None] * len(self.per_target_sigma_ratios)
-        for stack in self.stacks:
-            d = self._column_scales(stack.s.shape[1])
-            vt = stack.vt
-            block = d[:, None] * ((vt.swapaxes(1, 2) * stack.s[:, None, :] ** 2) @ vt) * d
-            for i, b in zip(stack.targets.tolist(), 0.5 * (block + block.swapaxes(1, 2))):
-                blocks[i] = b
+        with np.errstate(over="ignore", invalid="ignore"):
+            for stack in self.stacks:
+                d = self._column_scales(stack.s.shape[1])
+                vt = stack.vt
+                block = d[:, None] * ((vt.swapaxes(1, 2) * stack.s[:, None, :] ** 2) @ vt) * d
+                for i, b in zip(stack.targets.tolist(), 0.5 * (block + block.swapaxes(1, 2))):
+                    blocks[i] = b
         return tuple(blocks)
 
 

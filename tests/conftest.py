@@ -1,6 +1,9 @@
 import os
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from obskit import cli
 
 settings.register_profile(
     "obskit",
@@ -17,3 +20,9 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "obskit"))
+
+
+@pytest.fixture(autouse=True)
+def fresh_loaded_scenario(monkeypatch):
+    """Each test starts with no scenario kept by ``cli.run_cli``."""
+    monkeypatch.setattr(cli, "_LOADED", None)

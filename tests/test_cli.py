@@ -2,7 +2,10 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import pkgutil
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -162,6 +165,13 @@ class TestKinematicsPasses:
         capsys.readouterr()
         assert passes == expected
 
+    def test_one_pass_per_file_across_commands(self, passes, capsys):
+        # run_cli keeps the loaded scenario and its history while the file is unchanged.
+        for command in ("observability", "estimate", "simulate"):
+            assert run_cli([command, str(OBSERVABLE)]) == 0
+        capsys.readouterr()
+        assert passes == [61, 61]  # the shared pass, then the estimate's replay
+
     # Validation accepts this scenario: range and range rate are finite on
     # the grid. Only t^4, which no term of the cubic observer uses, overflows.
     UNUSED_POWER = {"observer": {"coeffs": [[10.0, 0.0], [0.0, 0.0], [0.0, 0.0],
@@ -190,6 +200,119 @@ class TestKinematicsPasses:
             assert code == 0, outputs[command].err
         residual = json.loads(outputs["estimate"].out)["residual_norm"]
         assert np.isfinite(residual) and residual > 0
+
+
+class TestLoadedScenarioReuse:
+    """``run_cli`` reuses the last loaded scenario while the file's bytes and the
+    grid override are unchanged, and loads it again otherwise."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        """The paths ``cli`` passes to ``load_scenario``, one per load."""
+        calls = []
+        real = cli.load_scenario
+        monkeypatch.setattr(cli, "load_scenario",
+                            lambda path, *args: calls.append(Path(path).name) or real(path, *args))
+        return calls
+
+    def outcome(self, capsys, argv):
+        code = run_cli([str(arg) for arg in argv])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_one_load_per_unchanged_file(self, loads, capsys):
+        for argv in (["observability", OBSERVABLE], ["estimate", OBSERVABLE],
+                     ["simulate", OBSERVABLE], ["estimate", COLLINEAR],
+                     ["observability", OBSERVABLE]):
+            assert self.outcome(capsys, argv)[0] == 0
+        assert loads == [OBSERVABLE.name, COLLINEAR.name, OBSERVABLE.name]
+        assert cli._LOADED[0] == OBSERVABLE.read_bytes()  # one entry, the last file
+
+    def test_same_length_rewrite_is_reloaded(self, tmp_path, loads, capsys):
+        path = tmp_path / "scenario.json"
+        text = OBSERVABLE.read_text()
+        path.write_text(text)
+        stat = path.stat()
+        before = self.outcome(capsys, ["observability", path])
+        rewritten = text.replace('"points": 61', '"points": 71')
+        assert len(rewritten) == len(text) and rewritten != text
+        path.write_text(rewritten)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # the same mtime tick
+        after = self.outcome(capsys, ["observability", path])
+        assert loads == ["scenario.json"] * 2
+        assert before[0] == after[0] == 0 and before[1] != after[1]
+        cli._LOADED = None
+        assert self.outcome(capsys, ["observability", path]) == after
+
+    def test_other_grid_override_is_reloaded(self, loads, capsys):
+        lengths = []
+        for points in ("3", "5", "5", None):
+            argv = ["simulate", OBSERVABLE] + (["--grid-points", points] if points else [])
+            code, out, _ = self.outcome(capsys, argv)
+            assert code == 0
+            lengths.append(len(out.splitlines()))
+        assert lengths == [1 + 3 * 2, 1 + 5 * 2, 1 + 5 * 2, 1 + 61 * 2]
+        assert len(loads) == 3
+
+    def test_rejected_file_loads_once_fixed(self, tmp_path, loads, capsys):
+        path = tmp_path / "scenario.json"
+        data = json.loads(OBSERVABLE.read_text())
+        path.write_text(json.dumps(dict(data, c=-1.0)))
+        for _ in range(2):  # errors are not kept
+            code, _, err = self.outcome(capsys, ["observability", path])
+            assert code == 1 and err.startswith("error: c: must be > 0")
+        path.write_text(json.dumps(data))
+        assert self.outcome(capsys, ["observability", path])[0] == 0
+        assert len(loads) == 3
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_is_read_once(self, loads, capsys):
+        expected = self.outcome(capsys, ["estimate", OBSERVABLE])
+        cli._LOADED = None  # nothing kept to match the pipe's bytes
+        read, write = os.pipe()
+        try:
+            os.write(write, OBSERVABLE.read_bytes())
+            os.close(write)
+            assert self.outcome(capsys, ["estimate", f"/dev/fd/{read}"]) == expected
+        finally:
+            os.close(read)
+        assert len(loads) == 2 and cli._LOADED is None  # a pipe is never kept
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_is_read_once(self, tmp_path, loads, capsys):
+        expected = self.outcome(capsys, ["estimate", OBSERVABLE])
+        cli._LOADED = None
+        fifo = tmp_path / "scenario.fifo"
+        os.mkfifo(fifo)
+        result = []
+        command = threading.Thread(
+            target=lambda: result.append(self.outcome(capsys, ["estimate", fifo])), daemon=True)
+        command.start()
+        deadline = time.monotonic() + 30
+        while True:  # a writer can open only while the command holds the FIFO open
+            try:
+                writer = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                break
+            except OSError:
+                assert command.is_alive() and time.monotonic() < deadline
+                time.sleep(0.01)
+        os.write(writer, OBSERVABLE.read_bytes())
+        os.close(writer)
+        command.join(timeout=30)
+        if command.is_alive():  # blocked in a second open: an empty writer ends it
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            command.join()
+        assert result == [expected]
+        assert len(loads) == 2 and cli._LOADED is None
+
+    @pytest.mark.parametrize("missing", ["no-such-file.json", "{tmp}"])
+    def test_unreadable_file_message_unchanged(self, tmp_path, capsys, missing):
+        missing = missing.replace("{tmp}", str(tmp_path))  # a directory
+        with pytest.raises(scenario_io.ParseError) as expected:
+            scenario_io.load_scenario(missing)
+        assert self.outcome(capsys, ["estimate", OBSERVABLE])[0] == 0
+        assert self.outcome(capsys, ["estimate", missing]) == (1, "", f"error: {expected.value}\n")
+        assert cli._LOADED is None
 
 
 class TestAmbiguity:
@@ -481,6 +604,7 @@ class TestDeterminism:
     def test_observability_reports_are_byte_identical(self, tmp_path, scenario, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run_cli(["observability", str(scenario), "-o", str(a)]) == 0
+        cli._LOADED = None  # the second run loads the file afresh
         assert run_cli(["observability", str(scenario), "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         capsys.readouterr()
@@ -521,6 +645,7 @@ def test_shared_parser_carries_no_state_between_commands(monkeypatch, capsys):
     fresh = []
     for argv in sequence:
         monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_LOADED", None)
         fresh.append(outcome(argv))
     monkeypatch.setattr(cli, "_PARSER", None)
     calls = _counting_build_parser(monkeypatch)
@@ -683,6 +808,33 @@ def test_loadable_file_runs_in_every_command(tmp_path_factory, data):
     event(f"loaded, exit codes {[code for code, _ in outcomes]}")
     for code, err in outcomes:
         assert code == 0 and not err or code == 2 and err.startswith("analysis error: "), err
+    if outcomes[2][0] == 0:  # the verdict the estimate reached, the report reaches too
+        assert outcomes[1][0] == 0, outcomes[1][1]
+
+
+# An extreme_scenario_files draw whose Gramian entries (s^2 times T^2k)
+# overflow although the verdict, taken in tau columns, does not.
+GRAMIAN_OVERFLOW = {
+    "observer": {"coeffs": [[5.466402186492932e-66, 0.07440707153427303],
+                            [-3.7232456726556265e-159, 7.836849080387971e-157]]},
+    "targets": [{"coeffs": [[9.321954960097566e+46, -4.0201978208797216e+34],
+                            [-1.7001639017775519e-186, -4.719037459779595e-91]]}],
+    "time": {"start": -0.09954538253193357, "end": 2.139026100626925e+110, "points": 7}}
+
+
+def test_overflowing_gramian_entries_are_null(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(GRAMIAN_OVERFLOW))
+    outputs = {}
+    for command in ("observability", "estimate"):
+        code = run_cli([command, str(path)])
+        outputs[command] = capsys.readouterr()
+        assert code == 0, outputs[command].err
+    report = json.loads(outputs["observability"].out)
+    estimate = json.loads(outputs["estimate"].out)
+    assert (report["rank_decision"] == "observable") == (estimate["uniqueness"] == "unique")
+    entries = np.array(report["gramian"], dtype=float)  # null reads as nan
+    assert np.isnan(entries).any() and np.isfinite(report["singular_values"]).all()
 
 
 @pytest.mark.parametrize("regime,option", [("doppler", "--rotation-rate"),
