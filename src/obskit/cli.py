@@ -26,7 +26,10 @@ doppler regime's rotation ``rate * (t - t0)`` and the bearing regime's scale
 arrays equal the per-node values, so the output is that of the same
 profiles passed to the library as callables. It formats each generated
 value once: the trajectory CSV and the certificate's ``trajectory_i`` are
-written from one ``scenario_io.TrajectoryTexts``.
+written from one ``scenario_io.TrajectoryTexts``. Those texts are kept for
+the arrays formatted last (see ``scenario_io._format_array``), so a later
+``ambiguity verify`` of that CSV, which reads back the same bits, and the
+other regime's ``generate`` on the same grid format them no more.
 
 Exit codes: 0 success, 1 validation/input error or an output path that
 cannot be written, 2 analysis error

@@ -16,14 +16,13 @@ one batched product per order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSystem
 from .measurement import MeasurementHistory, angular_difference, bearing, measure_scenario
-from .observability import gramian
+from .observability import gramian, power_of_two_near
 from .scenario_io import Scenario, Tolerances, fields_dict
 from .trajectory import PolynomialTrajectory, relative_states, trajectory_from_state
 
@@ -100,7 +99,7 @@ def estimate_initial_state(
     # one did wherever that neither overflowed nor underflowed.
     largest = max(max(abs(stack.rho).max(), abs(np.where(keep, 0.0, stack.c)).max())
                   for stack, keep in zip(g.stacks, keeps))
-    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1) if largest > 0 else 1.0
+    scale = power_of_two_near(largest)
     solution = np.empty(g.size)
     residual_sq = np.empty(len(orders))  # each target's squared residual over scale²
     for stack, keep in zip(g.stacks, keeps):

@@ -27,6 +27,7 @@ tie order of a scan over every pair.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -124,6 +125,16 @@ def _simpson_weights(nodes: int, h: float) -> np.ndarray:
     return w
 
 
+def power_of_two_near(largest: float) -> float:
+    """A power of two within a factor of two of ``largest`` (1 if it is 0).
+
+    Dividing by it is exact wherever the quotient stays a normal float, so
+    a sum of squares taken after the division rounds as the unscaled one
+    wherever that neither overflowed nor underflowed.
+    """
+    return math.ldexp(1.0, math.frexp(largest)[1] - 1) if largest > 0 else 1.0
+
+
 @dataclass(frozen=True, eq=False)
 class OrderStack:
     """The factors of the k targets of one order, stacked along a first axis.
@@ -187,6 +198,10 @@ class Gramian:
         stack = next(stack for stack in self.stacks if worst in stack.targets)
         j = int(np.searchsorted(stack.targets, worst))
         v = self.physical(stack.vt[j, -1])
+        # Scaled so that the squares of the norm neither all underflow nor
+        # overflow on an extreme window; the unit vector keeps its bytes
+        # wherever the unscaled norm neither underflowed nor overflowed.
+        v = v / power_of_two_near(float(np.abs(v).max()))
         out = np.zeros(self.size)
         out[stack.columns[j]] = v / np.linalg.norm(v)
         return out

@@ -3,7 +3,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
-from obskit import cli
+from obskit import cli, scenario_io
 
 settings.register_profile(
     "obskit",
@@ -24,5 +24,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "obskit"))
 
 @pytest.fixture(autouse=True)
 def fresh_loaded_scenario(monkeypatch):
-    """Each test starts with no scenario kept by ``cli.run_cli``."""
+    """Each test starts with no scenario kept by ``cli.run_cli`` and no texts
+    kept by ``scenario_io._format_array``."""
     monkeypatch.setattr(cli, "_LOADED", None)
+    monkeypatch.setattr(scenario_io, "_FORMATTED", {})

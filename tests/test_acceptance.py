@@ -14,7 +14,7 @@ from obskit import (PolynomialTrajectory, Scenario, TargetConfig, Tolerances,
                     generate_bearing_ambiguous, generate_doppler_ambiguous,
                     measure_scenario, state_from_trajectory, verify_ambiguity)
 from obskit.ambiguity import AMBIGUOUS, COMBINED, DopplerAmbiguitySpec
-from obskit import cli
+from obskit import cli, scenario_io
 from obskit.cli import run_cli
 from obskit.estimator import DEGENERATE, UNIQUE, split_state
 from obskit.observability import OBSERVABLE, UNOBSERVABLE
@@ -351,6 +351,12 @@ def test_criterion_10_brute_force_rank_oracle():
     report(10, f"gramian vs stacked-matrix rank: {agreements}/200 agree")
 
 
+def start_afresh():
+    """The next command loads its file and formats its arrays afresh."""
+    cli._LOADED = None
+    scenario_io._FORMATTED.clear()
+
+
 def test_criterion_11_cli_end_to_end_determinism(tmp_path, capsys):
     observable = SCENARIOS / "two_target_observable.json"
     collinear = SCENARIOS / "collinear_unobservable.json"
@@ -372,7 +378,7 @@ def test_criterion_11_cli_end_to_end_determinism(tmp_path, capsys):
         files = []
         for attempt in ("a", "b"):
             out = tmp_path / f"{name}-{attempt}.out"
-            cli._LOADED = None  # each attempt loads the file afresh
+            start_afresh()
             assert run_cli(argv + [str(out)]) == 0
             files.append(out.read_bytes())
         assert files[0] == files[1], name
@@ -382,7 +388,7 @@ def test_criterion_11_cli_end_to_end_determinism(tmp_path, capsys):
     certs, trajs = [], []
     for attempt in ("a", "b"):
         prefix = tmp_path / f"pair-{attempt}"
-        cli._LOADED = None
+        start_afresh()
         assert run_cli(["ambiguity", "generate", str(doppler_base),
                         "--regime", "doppler", "-o", str(prefix),
                         "--l-prime", "1.02", "--b-prime", "400.0"]) == 0
@@ -393,7 +399,7 @@ def test_criterion_11_cli_end_to_end_determinism(tmp_path, capsys):
     verify_files = []
     for attempt in ("a", "b"):
         out = tmp_path / f"verify-{attempt}.json"
-        cli._LOADED = None
+        start_afresh()
         assert run_cli(["ambiguity", "verify", str(doppler_base),
                         str(tmp_path / "pair-a_trajectory.csv"),
                         "--regime", "doppler",

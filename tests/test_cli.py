@@ -604,7 +604,8 @@ class TestDeterminism:
     def test_observability_reports_are_byte_identical(self, tmp_path, scenario, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run_cli(["observability", str(scenario), "-o", str(a)]) == 0
-        cli._LOADED = None  # the second run loads the file afresh
+        cli._LOADED = None  # the second run loads the file afresh,
+        scenario_io._FORMATTED.clear()  # and formats its arrays afresh
         assert run_cli(["observability", str(scenario), "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         capsys.readouterr()
@@ -771,6 +772,43 @@ def test_generate_formats_each_value_once(tmp_path, monkeypatch, capsys, regime,
     assert sorted(calls) == sorted([n, 2 * n, base_coeffs, len(certificate["tonals"])])
 
 
+def ambiguity_run(out: Path) -> list[list[str]]:
+    """Generate both counterparts, then verify them in every regime that applies."""
+    base = str(DOPPLER_BASE)
+    dop, bear = f"{out}/doppler", f"{out}/bearing"
+    return [["ambiguity", "generate", base, "--regime", "doppler", "-o", dop],
+            ["ambiguity", "generate", base, "--regime", "bearing", "-o", bear],
+            *[["ambiguity", "verify", base, f"{csv}_trajectory.csv", "--regime", regime,
+               "-o", f"{out}/verify_{regime}.json"]
+              for csv, regime in [(dop, "doppler"), (dop, "combined"), (bear, "bearing")]]]
+
+
+def test_ambiguity_run_formats_each_array_once(tmp_path, monkeypatch, capsys):
+    """A CSV read back holds the bits that were written, so in one process the
+    grid and each counterpart are formatted once for all five commands, and
+    every file is the one written with nothing kept."""
+    calls = []
+    reprs = scenario_io._reprs
+    monkeypatch.setattr(scenario_io, "_reprs",
+                        lambda values: calls.append(len(values)) or reprs(values))
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    shared.mkdir(), fresh.mkdir()
+    assert [run_cli(argv) for argv in ambiguity_run(shared)] == [0] * 5
+    n = json.loads(DOPPLER_BASE.read_text())["time"]["points"]
+    # The grid, the Doppler counterpart and the bearing counterpart, in that
+    # order; the rest are the certificates' base coefficients and tonals.
+    assert [size for size in calls if size >= n] == [n, 2 * n, 2 * n]
+    assert all(size <= 4 for size in calls if size < n)
+    for argv in ambiguity_run(fresh):
+        scenario_io._FORMATTED.clear()
+        assert run_cli(argv) == 0
+    capsys.readouterr()
+    names = sorted(path.name for path in shared.iterdir())
+    assert names == sorted(path.name for path in fresh.iterdir()) and len(names) == 7
+    for name in names:
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 @st.composite
 def extreme_scenario_files(draw):
     """Scenario files whose window spans 1e-3 to 1e150 s and whose k-th
@@ -793,7 +831,8 @@ def extreme_scenario_files(draw):
 @settings(max_examples=150, deadline=None)
 @given(data=extreme_scenario_files())
 def test_loadable_file_runs_in_every_command(tmp_path_factory, data):
-    """A file that loads either runs, or each failure exits 2 and names its cause."""
+    """A file that loads runs in ``observability``; in the other commands it
+    runs, or the failure exits 2 and names its cause."""
     path = tmp_path_factory.mktemp("extreme") / "scenario.json"
     path.write_text(json.dumps(data))
     outcomes = []
@@ -808,8 +847,7 @@ def test_loadable_file_runs_in_every_command(tmp_path_factory, data):
     event(f"loaded, exit codes {[code for code, _ in outcomes]}")
     for code, err in outcomes:
         assert code == 0 and not err or code == 2 and err.startswith("analysis error: "), err
-    if outcomes[2][0] == 0:  # the verdict the estimate reached, the report reaches too
-        assert outcomes[1][0] == 0, outcomes[1][1]
+    assert outcomes[1][0] == 0, outcomes[1][1]
 
 
 # An extreme_scenario_files draw whose Gramian entries (s^2 times T^2k)
@@ -835,6 +873,32 @@ def test_overflowing_gramian_entries_are_null(tmp_path, capsys):
     assert (report["rank_decision"] == "observable") == (estimate["uniqueness"] == "unique")
     entries = np.array(report["gramian"], dtype=float)  # null reads as nan
     assert np.isnan(entries).any() and np.isfinite(report["singular_values"]).all()
+
+
+# An extreme_scenario_files draw whose null vector, taken back from tau columns
+# on a window of ≈9e99 s, has entries whose squares all underflow.
+NULL_SPACE_UNDERFLOW = {
+    "observer": {"coeffs": [[-2.4699050828411657e-297, 9.99e+101]]},
+    "targets": [{"coeffs": [[6.4786963191423564e+100, 1.7351514801425693e+150],
+                            [-9.841567967466087e-140, 9.104876919561145e-138],
+                            [-1.684314681974752e-119, 6.408780711094047e-98]]}],
+    "time": {"start": -8.365001343441275e+93, "end": 8.97598604090918e+99, "points": 15}}
+
+
+def test_null_space_of_a_tiny_physical_vector_has_unit_norm(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(NULL_SPACE_UNDERFLOW))
+    outputs = {}
+    for command in ("observability", "estimate"):
+        code = run_cli([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        outputs[command] = json.loads(captured.out)
+    report, estimate = outputs["observability"], outputs["estimate"]
+    assert (report["rank_decision"] == "observable") == (estimate["uniqueness"] == "unique")
+    assert report["null_space"] == estimate["null_space"]
+    null_space = np.array(report["null_space"], dtype=float)
+    assert np.isfinite(null_space).all() and np.linalg.norm(null_space) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("regime,option", [("doppler", "--rotation-rate"),

@@ -488,6 +488,50 @@ class TestSharedTrajectoryTexts:
         assert_shared_texts_write_the_floats(SampledTrajectory(times, positions))
 
 
+# Any 64-bit pattern (NaN payloads included) and the values on repr's edges.
+SPECIAL_BITS = np.array([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, math.inf,
+                         -math.inf, math.nan, -math.nan, 0.5]).view(np.uint64).tolist()
+FLOAT_BITS = st.integers(0, 2 ** 64 - 1) | st.sampled_from(SPECIAL_BITS) | st.sampled_from(
+    [0x7FF0000000000001, 0x7FF8000000000123, 0xFFF4000000000000])  # NaN payloads
+
+
+class TestFormattedMemo:
+    """``_format_array`` keeps the texts of the last three arrays it formatted."""
+
+    @settings(max_examples=200)
+    @given(bits=st.lists(FLOAT_BITS, min_size=1, max_size=12), width=st.integers(0, 3),
+           data=st.data())
+    def test_texts_are_each_values_repr(self, bits, width, data):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        if width:  # 2-D: whole rows of ``width`` values
+            values = values[:len(values) // width * width].reshape(-1, width)
+        scenario_io._format_array(np.array([data.draw(FLOATS)]))  # an entry to pass over
+        expected = list(map(float.__repr__, values.ravel().tolist()))
+        for _ in range(2):  # a miss, then a hit
+            floats = scenario_io._format_array(values)
+            assert floats.texts == expected
+            assert floats.width == (width or None)
+            assert floats.finite == bool(np.isfinite(values).all())
+
+    def test_signed_zeros_have_their_own_entries(self):
+        assert scenario_io._format_array(np.array([0.0, 1.0])).texts == ["0.0", "1.0"]
+        assert scenario_io._format_array(np.array([-0.0, 1.0])).texts == ["-0.0", "1.0"]
+
+    def test_shape_is_part_of_the_key(self):
+        values = np.arange(4.0)
+        assert scenario_io._format_array(values).width is None
+        assert scenario_io._format_array(values.reshape(2, 2)).width == 2
+
+    def test_keeps_the_three_most_recent_arrays(self):
+        a, b, c, d = (np.full(3, float(k)) for k in range(4))
+        for values in (a, b, c, a, d):  # the hit on a leaves b the oldest
+            floats = scenario_io._format_array(values)
+            assert len(scenario_io._FORMATTED) <= 3
+        kept = [texts.texts[0] for texts in scenario_io._FORMATTED.values()]
+        assert kept == ["2.0", "0.0", "3.0"]
+        assert scenario_io._format_array(d) is floats  # a hit returns the kept object
+
+
 def test_report_keys_follow_field_order():
     """The fields of each report are its JSON schema: pin the key order written today."""
     scenario = collinear_scenario(np.random.default_rng(0))
