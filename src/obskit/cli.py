@@ -25,11 +25,11 @@ doppler regime's rotation ``rate * (t - t0)`` and the bearing regime's scale
 ``1 + amplitude * sin(rate * (t - t0))``, with t0 the window start. These
 arrays equal the per-node values, so the output is that of the same
 profiles passed to the library as callables. It formats each generated
-value once: the trajectory CSV and the certificate's ``trajectory_i`` are
-written from one ``scenario_io.TrajectoryTexts``. Those texts are kept for
-the arrays formatted last (see ``scenario_io._format_array``), so a later
-``ambiguity verify`` of that CSV, which reads back the same bits, and the
-other regime's ``generate`` on the same grid format them no more.
+value once: ``scenario_io._format_array`` keeps the texts of the arrays
+formatted last, so the certificate's ``trajectory_i`` is written from the
+texts the trajectory CSV was written from, and a later ``ambiguity verify``
+of that CSV, which reads back the same bits, and the other regime's
+``generate`` on the same grid format them no more.
 
 Exit codes: 0 success, 1 validation/input error or an output path that
 cannot be written, 2 analysis error
@@ -56,9 +56,8 @@ from .errors import (DegenerateSystem, NonPositiveAlpha, NonPositiveRange, Parse
 from .estimator import UNIQUE, cross_validate, estimate_initial_state
 from .measurement import measure_scenario
 from .observability import check_observable, report_text
-from .scenario_io import (Scenario, TrajectoryTexts, _finite, dumps_json, load_scenario,
-                          read_trajectory_csv, write_measurements_csv,
-                          write_trajectory_csv)
+from .scenario_io import (Scenario, _finite, dumps_json, load_scenario, read_trajectory_csv,
+                          sampled_texts, write_measurements_csv, write_trajectory_csv)
 
 
 def _check_numbers(args: argparse.Namespace) -> None:
@@ -190,11 +189,10 @@ def _cmd_ambiguity_generate(args: argparse.Namespace) -> int:
     prefix = args.output
     traj_path = Path(f"{prefix}_trajectory.csv")
     cert_path = Path(f"{prefix}_certificate.json")
-    texts = TrajectoryTexts(generated)  # formatted by the CSV writer, reused in the JSON
     with open(traj_path, "w", encoding="utf-8") as out:
-        write_trajectory_csv(texts, out)
-    # The certificate's dict, with the generated trajectory's float lists as those texts.
-    data = replace(certificate, trajectory_i=texts).to_dict()
+        write_trajectory_csv(generated, out)
+    # The certificate's dict, with the texts the CSV writer just formatted.
+    data = replace(certificate, trajectory_i=sampled_texts(generated)).to_dict()
     cert_path.write_text(dumps_json(data), encoding="utf-8")
     sys.stdout.write(f"wrote {traj_path} and {cert_path} "
                      f"(verdict: {certificate.verdict})\n")
@@ -220,8 +218,8 @@ def _cmd_ambiguity_verify(args: argparse.Namespace) -> int:
         tonals = None
 
     certificate = _certify(scenario, candidate, base, tonals, args.regime)
-    # The candidate's float lists go to dumps_json as arrays, as in generate.
-    data = replace(certificate, trajectory_i=TrajectoryTexts(candidate)).to_dict()
+    # The candidate's float lists go to dumps_json as texts, as in generate.
+    data = replace(certificate, trajectory_i=sampled_texts(candidate)).to_dict()
     _emit_json(dumps_json(data), args.output)
     return 0
 

@@ -44,7 +44,13 @@ class DegenerateSystem(ObskitError):
 
 
 class ParseError(ObskitError):
-    """Scenario file is unreadable or not valid JSON."""
+    """An input file cannot be read or parsed.
+
+    Raised for a scenario file that is unreadable, not UTF-8 or not valid
+    JSON, and for a trajectory CSV that is unreadable or has a bad header,
+    a non-numeric or non-finite field, fewer than 3 rows, or times that are
+    not strictly increasing.
+    """
 
 
 class ValidationError(ObskitError):

@@ -17,7 +17,8 @@ Each trajectory is loaded as written; analyses take a target's order from
 its last nonzero coefficient pair (``Scenario.effective_orders``), so
 trailing zero pairs change no output. ``time.points`` is at most
 ``MAX_GRID_POINTS``, and every target must stay at least ``eps_range`` from
-the observer, with finite range and range rate, on the grid.
+the observer, with finite range and range rate, on the grid; a target with
+a tonal must also have a finite Doppler shift there.
 
 Reports are written with ``dumps_json(report.to_dict())``; each report's
 ``to_dict`` is ``fields_dict``, so its dataclass fields, in order, are its
@@ -30,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -39,7 +40,7 @@ from typing import Any, TextIO
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .measurement import DEFAULT_SOUND_SPEED, MeasurementHistory, Tonal
+from .measurement import DEFAULT_SOUND_SPEED, MeasurementHistory, Tonal, doppler
 from .trajectory import (DEFAULT_EPS_RANGE, PolynomialTrajectory, SampledTrajectory,
                          relative_states)
 
@@ -133,8 +134,9 @@ def validate_scenario(scenario: Scenario, points_field: str = "time.points") -> 
     name ``points_field``, the field that set its size. The kinematic check
     evaluates all targets in one ``relative_states`` pass with no range
     floor and names the first target, in index order, whose range falls
-    below ``eps_range`` or whose range or range rate overflows;
-    a target that does both is reported as meeting the observer. A scenario
+    below ``eps_range``, whose range or range rate overflows, or whose
+    Doppler shift, if it has a tonal, overflows; a target with several
+    faults is reported for the first of them in that order. A scenario
     that passes keeps that pass for ``measurement.measure_scenario``.
     """
     _check_fields(scenario, points_field)
@@ -143,12 +145,17 @@ def validate_scenario(scenario: Scenario, points_field: str = "time.points") -> 
         raise ValidationError(
             points_field, f"{scenario.grid_points} points on [{scenario.t_start}, "
             f"{scenario.t_end}] give only {len(np.unique(times))} distinct float times")
+    rows = [i for i, target in enumerate(scenario.targets) if target.tonal is not None]
     # Overflow and zero range show in the arrays, checked below.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = relative_states(scenario.target_trajectories(), scenario.observer, times, 0.0)
+        f0 = np.array([scenario.targets[i].tonal.f0 for i in rows])[:, np.newaxis]
+        shifted = doppler(f0, state.range_rate[rows], scenario.c)
     near = state.range < scenario.tolerances.eps_range
     finite = np.isfinite(state.range) & np.isfinite(state.range_rate)
-    faulty = np.flatnonzero((near | ~finite).any(axis=1))
+    shift_finite = np.ones_like(finite)
+    shift_finite[rows] = np.isfinite(shifted)
+    faulty = np.flatnonzero((near | ~finite | ~shift_finite).any(axis=1))
     if not faulty.size:
         vars(scenario)["_kinematics"] = state  # see Scenario
         return
@@ -156,8 +163,11 @@ def validate_scenario(scenario: Scenario, points_field: str = "time.points") -> 
     if near[i].any():
         raise ValidationError(f"targets[{i}]", "coincides with the observer at "
                               f"t={float(times[np.argmax(near[i])])}")
-    raise ValidationError(f"targets[{i}]",
-                          "range or range rate overflows a float on the time grid")
+    if not finite[i].all():
+        raise ValidationError(f"targets[{i}]",
+                              "range or range rate overflows a float on the time grid")
+    raise ValidationError(f"targets[{i}].tonal_hz",
+                          "the Doppler shift overflows a float on the time grid")
 
 
 def _require(mapping: dict, key: str, path: str) -> Any:
@@ -402,34 +412,12 @@ def _format_array(values: np.ndarray) -> FloatTexts:
     return floats
 
 
-class TrajectoryTexts:
-    """A sampled trajectory's times and positions, formatted once, on first use.
-
-    ``write_trajectory_csv`` writes its rows from these texts, and
-    ``to_dict()`` is ``trajectory.to_dict()`` with FloatTexts in place of
-    the float lists, for ``dumps_json``. Passing one object to both writers
-    formats each value once for the two files. The texts come from
-    ``_format_array``, which keeps those of the last three arrays it
-    formatted (≈0.4 MB at N=1001, ≈4 MB at N=10001): a trajectory whose
-    times or positions hold the same bits as one formatted a moment
-    earlier, such as a CSV read back or the grid of another counterpart,
-    takes the kept texts. They cannot go stale, since a float's repr
-    depends only on its bits.
-    """
-
-    def __init__(self, trajectory: SampledTrajectory):
-        self.trajectory = trajectory
-
-    @cached_property
-    def times(self) -> FloatTexts:
-        return _format_array(self.trajectory.times)
-
-    @cached_property
-    def positions(self) -> FloatTexts:
-        return _format_array(self.trajectory.positions)
-
-    def to_dict(self) -> dict:
-        return {"type": "sampled", "times": self.times, "positions": self.positions}
+def sampled_texts(traj: SampledTrajectory) -> dict:
+    """``traj.to_dict()`` with ``_format_array``'s texts in place of its float
+    lists, for ``dumps_json``: bits formatted a moment earlier, as for the rows
+    ``write_trajectory_csv`` just wrote or a CSV read back, are not formatted again."""
+    return {"type": "sampled", "times": _format_array(traj.times),
+            "positions": _format_array(traj.positions)}
 
 
 def _float_texts(values: list | tuple) -> FloatTexts | None:
@@ -512,8 +500,8 @@ def dumps_json(data: Any) -> str:
     A ``FloatTexts`` stands where such a list or matrix would be, holding
     its floats already formatted; its texts are written unchanged, except
     that the non-finite ones are written as ``null``, so the bytes are those
-    of the floats it was made from. ``TrajectoryTexts.to_dict()`` puts them
-    in a sampled trajectory's place, so that a trajectory whose texts
+    of the floats it was made from. ``sampled_texts`` puts them in a sampled
+    trajectory's place, so that a trajectory whose texts
     ``write_trajectory_csv`` already made is not formatted again.
     """
     return _encode(data, "\n") + "\n"
@@ -539,16 +527,13 @@ def write_measurements_csv(history: MeasurementHistory, out: TextIO) -> None:
     out.write("".join(map(row.__mod__, zip(*columns))))
 
 
-def write_trajectory_csv(traj: SampledTrajectory | TrajectoryTexts, out: TextIO) -> None:
+def write_trajectory_csv(traj: SampledTrajectory, out: TextIO) -> None:
     """Sampled trajectory as CSV with columns t,x_m,y_m (same conventions as above).
 
-    The rows are written from the trajectory's ``TrajectoryTexts``, each
-    value's ``repr`` (``nan`` and ``inf`` included). Pass a TrajectoryTexts
-    instead of the trajectory to share its texts with ``dumps_json``.
+    The rows are written from ``_format_array``'s texts of the times and
+    positions, each value's ``repr`` (``nan`` and ``inf`` included).
     """
-    if not isinstance(traj, TrajectoryTexts):
-        traj = TrajectoryTexts(traj)
-    times, xy = traj.times.texts, traj.positions.texts
+    times, xy = _format_array(traj.times).texts, _format_array(traj.positions).texts
     cells = [""] * (3 * len(times))
     cells[0::3], cells[1::3], cells[2::3] = times, xy[0::2], xy[1::2]
     out.write("t,x_m,y_m\n")

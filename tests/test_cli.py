@@ -812,7 +812,9 @@ def test_ambiguity_run_formats_each_array_once(tmp_path, monkeypatch, capsys):
 @st.composite
 def extreme_scenario_files(draw):
     """Scenario files whose window spans 1e-3 to 1e150 s and whose k-th
-    coefficients move the position by up to 1e150 m over the window."""
+    coefficients move the position by up to 1e150 m over the window; ``c``
+    and each target's ``tonal_hz``, when drawn, span every positive float
+    magnitude from the subnormals up."""
     exponent = draw(st.integers(-3, 150))
     length = draw(st.floats(1.0, 9.99)) * 10.0 ** exponent
 
@@ -821,11 +823,20 @@ def extreme_scenario_files(draw):
                                                          - k * exponent) for _ in range(2)]
                 for k in range(draw(st.integers(1, 4)))]
 
+    def magnitude():
+        return draw(st.floats(1.0, 9.99)) * 10.0 ** draw(st.integers(-323, 307))
+
     start = draw(st.floats(-9.99, 9.99)) * 10.0 ** draw(st.integers(-3, 150))
-    return {"observer": {"coeffs": coeffs()},
-            "targets": [{"coeffs": coeffs()} for _ in range(draw(st.integers(1, 2)))],
+    targets = [{"coeffs": coeffs()} for _ in range(draw(st.integers(1, 2)))]
+    for target in targets:
+        if draw(st.booleans()):
+            target["tonal_hz"] = magnitude()
+    data = {"observer": {"coeffs": coeffs()}, "targets": targets,
             "time": {"start": start, "end": start + length,
                      "points": draw(st.integers(3, 15))}}
+    if draw(st.booleans()):
+        data["c"] = magnitude()
+    return data
 
 
 @settings(max_examples=150, deadline=None)
@@ -848,6 +859,37 @@ def test_loadable_file_runs_in_every_command(tmp_path_factory, data):
     for code, err in outcomes:
         assert code == 0 and not err or code == 2 and err.startswith("analysis error: "), err
     assert outcomes[1][0] == 0, outcomes[1][1]
+
+
+# Finite range and range rate, but c is the smallest subnormal, so the
+# Doppler shift f0 * (1 - range_rate / c) overflows on every node.
+DOPPLER_OVERFLOW = {"observer": {"coeffs": [[0, 0], [1, 0], [0, 0.5]]},
+                    "targets": [{"coeffs": [[100, 500], [3, -2]], "tonal_hz": 1000.0}],
+                    "time": {"start": 0, "end": 10, "points": 11}, "c": 5e-324}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{scenario}", "-o", "{out}/history.csv"],
+    ["observability", "{scenario}", "-o", "{out}/report.json"],
+    ["estimate", "{scenario}", "-o", "{out}/estimate.json"],
+    ["ambiguity", "generate", "{scenario}", "--regime", "doppler", "-o", "{out}/pair"],
+    ["ambiguity", "generate", "{scenario}", "--regime", "bearing", "-o", "{out}/pair"],
+    ["ambiguity", "verify", "{scenario}", "{csv}", "-o", "{out}/cert.json"],
+], ids=["simulate", "observability", "estimate", "generate-doppler", "generate-bearing",
+        "verify"])
+def test_overflowing_doppler_shift_rejected_at_load(tmp_path, capsys, argv):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(DOPPLER_OVERFLOW))
+    csv = tmp_path / "candidate.csv"
+    csv.write_text(CANDIDATE)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [a.replace("{scenario}", str(path)).replace("{out}", str(out))
+            .replace("{csv}", str(csv)) for a in argv]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == ("error: targets[0].tonal_hz: the Doppler shift "
+                                       "overflows a float on the time grid\n")
+    assert not list(out.iterdir())
 
 
 # An extreme_scenario_files draw whose Gramian entries (s^2 times T^2k)

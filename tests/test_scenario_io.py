@@ -17,9 +17,9 @@ from obskit.estimator import estimate_initial_state
 from obskit.measurement import measure_scenario
 from obskit.observability import check_observable
 from obskit import scenario_io
-from obskit.scenario_io import (Scenario, TargetConfig, Tolerances, TrajectoryTexts,
-                                dumps_json, load_scenario, read_trajectory_csv, save_scenario,
-                                scenario_from_dict, scenario_to_dict,
+from obskit.scenario_io import (Scenario, TargetConfig, Tolerances, dumps_json,
+                                load_scenario, read_trajectory_csv, sampled_texts,
+                                save_scenario, scenario_from_dict, scenario_to_dict,
                                 validate_scenario, write_trajectory_csv)
 from obskit.selftest import collinear_scenario, random_observer
 from obskit.trajectory import PolynomialTrajectory, SampledTrajectory
@@ -133,6 +133,32 @@ class TestLoadScenario:
         data = {"observer": {"coeffs": [[0.0, 0.0]]},
                 "targets": [{"coeffs": coeffs} for coeffs in targets],
                 "time": {"start": 0.0, "end": 1e160, "points": 3}}
+        with pytest.raises(ValidationError) as excinfo:
+            scenario_from_dict(data)
+        assert str(excinfo.value) == message
+
+    # The same window with c the smallest subnormal: a range rate above about
+    # 1e-15 m/s gives a Doppler shift that overflows. That fault is named for a
+    # target with a tonal, after meeting the observer and range overflow.
+    DOPPLER = "the Doppler shift overflows a float on the time grid"
+
+    @pytest.mark.parametrize("targets,message", [
+        pytest.param([{"coeffs": [[500, 0], [1e-10, 0]], "tonal_hz": 800.0},
+                      {"coeffs": [[0, 500], [0, 0], [1, 1]]}],
+                     f"targets[0].tonal_hz: {DOPPLER}", id="doppler-before-later-overflow"),
+        pytest.param([{"coeffs": [[500, 0], [1e-10, 0]]},
+                      {"coeffs": [[500, 0], [1e-10, 0]], "tonal_hz": 800.0}],
+                     f"targets[1].tonal_hz: {DOPPLER}", id="only-a-target-with-a-tonal"),
+        pytest.param([{"coeffs": [[0, 500], [0, 0], [1, 1]], "tonal_hz": 800.0}],
+                     "targets[0]: range or range rate overflows a float on the time grid",
+                     id="overflow-before-doppler-in-one-target"),
+        pytest.param([{"coeffs": [[0, 0], [1, 0]], "tonal_hz": 800.0}],
+                     "targets[0]: coincides with the observer at t=0.0",
+                     id="zero-range-before-doppler-in-one-target"),
+    ])
+    def test_doppler_fault_named_after_kinematic_faults(self, targets, message):
+        data = {"observer": {"coeffs": [[0.0, 0.0]]}, "targets": targets,
+                "time": {"start": 0.0, "end": 1e160, "points": 3}, "c": 5e-324}
         with pytest.raises(ValidationError) as excinfo:
             scenario_from_dict(data)
         assert str(excinfo.value) == message
@@ -438,21 +464,25 @@ def csv_reference(traj: SampledTrajectory) -> str:
 
 
 def assert_shared_texts_write_the_floats(traj: SampledTrajectory):
-    """One TrajectoryTexts gives the CSV and the JSON bytes of the floats it holds."""
-    texts = TrajectoryTexts(traj)
+    """The CSV and the JSON of ``sampled_texts`` hold the bytes of the trajectory's
+    floats, and the JSON takes the very texts the CSV was written from."""
     out = io.StringIO()
-    write_trajectory_csv(texts, out)
+    write_trajectory_csv(traj, out)
     assert out.getvalue() == csv_reference(traj)
+    written = list(scenario_io._FORMATTED.values())[-2:]  # the CSV's times, positions
+    texts = sampled_texts(traj)
+    assert texts["times"] is written[0] is scenario_io._format_array(traj.times)
+    assert texts["positions"] is written[1] is scenario_io._format_array(traj.positions)
     # Nested, as in a certificate, and at the top level.
     certificate = {"regime": "doppler", "tonals": [800.0, 800.0],
-                   "trajectory_i": texts.to_dict(), "trajectory_j": {"coeffs": [[1.0, 2.0]]}}
+                   "trajectory_i": texts, "trajectory_j": {"coeffs": [[1.0, 2.0]]}}
     reference = {**certificate, "trajectory_i": traj.to_dict()}
-    for data, expected in [(certificate, reference), (texts.to_dict(), traj.to_dict())]:
+    for data, expected in [(certificate, reference), (texts, traj.to_dict())]:
         assert dumps_json(data) == json.dumps(ref(expected), indent=2, allow_nan=False) + "\n"
-    return out.getvalue(), dumps_json(texts.to_dict())
+    return out.getvalue(), dumps_json(texts)
 
 
-class TestSharedTrajectoryTexts:
+class TestSharedTrajectoryFormatting:
     # Values on both sides of repr's switches between fixed and exponent
     # notation, signed zero, the smallest subnormal and other subnormals.
     EDGES = [1e16, 9999999999999998.0, 1e-4, 9.9e-5, -0.0, 5e-324, 1e-310,
