@@ -12,11 +12,12 @@ every later call in the process; a one-shot ``obskit ...`` from a shell
 builds it once, as before. It also keeps the last scenario it loaded and
 reuses it while the file's bytes and the ``--grid-points`` override are
 unchanged. That one entry holds the file's bytes and the validated
-``Scenario``, which carries its kinematics pass until the first
-measurement and then its read-only measurement history, so the commands
-of one run on one file share one load, validation and measurement. With
-M targets and N grid points that is 48·M·N bytes of kinematics, or about
-24·M·N bytes of bearings and their sort once measured. A file that fails
+``Scenario``, which carries the read-only measurement history that its
+validation built, so the commands of one run on one file share one load,
+validation and measurement. With M targets and N grid points the history
+takes at most 16·M·N bytes (bearings and Doppler series) plus 8·N for the
+times, and the sort of its bearings that the pair diagnostics keep adds
+16·M·N. A file that fails
 to load is never kept, loading a different file drops the entry first, and
 a pipe or FIFO, which can be read only once, is never kept.
 
@@ -32,9 +33,9 @@ of that CSV, which reads back the same bits, and the other regime's
 ``generate`` on the same grid format them no more.
 
 Exit codes: 0 success, 1 validation/input error or an output path that
-cannot be written, 2 analysis error
-(zero range, infeasible ambiguity parameters, degenerate system, floating
-point overflow on extreme inputs).
+cannot be written, 2 analysis error (every other library error, such as
+zero range, infeasible ambiguity parameters or a degenerate system, and
+floating point overflow on extreme inputs).
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ import numpy as np
 from .ambiguity import (BEARING, DOPPLER, DopplerAmbiguitySpec,
                         generate_bearing_ambiguous, generate_doppler_ambiguous,
                         verify_ambiguity)
-from .errors import (DegenerateSystem, NonPositiveAlpha, NonPositiveRange, ParseError,
-                     ValidationError, ZeroRange)
+from .errors import ObskitError, ParseError, ValidationError
 from .estimator import UNIQUE, cross_validate, estimate_initial_state
 from .measurement import measure_scenario
 from .observability import check_observable, report_text
@@ -326,7 +326,7 @@ def run_cli(argv: list[str]) -> int:
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ZeroRange, NonPositiveRange, NonPositiveAlpha, DegenerateSystem) as exc:
+    except ObskitError as exc:  # every other library error is an analysis error
         print(f"analysis error: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, OverflowError) as exc:

@@ -3,9 +3,9 @@
 Bearing convention: angle from the +y axis toward +x (tan theta = x/y),
 resolved over the full circle with atan2(x, y) and wrapped to (-pi, pi].
 Doppler uses the one-way narrowband model f0 * (1 - range_rate / c).
-A scenario has one measurement history (``measure_scenario``), built from
-the kinematics pass that validated it and then kept on the scenario, so
-every analysis of one loaded scenario reads the same read-only arrays.
+A scenario has one measurement history (``measure_scenario``), built by
+the pass that validated it and kept on the scenario, so every analysis of
+one loaded scenario reads the same read-only arrays.
 """
 
 from __future__ import annotations
@@ -149,47 +149,60 @@ def design_matrix(thetas: np.ndarray, times: np.ndarray, t0: float, p: int) -> n
     return out.reshape(*thetas.shape[:-1], 2 * (p + 1), len(dt)).swapaxes(-1, -2)
 
 
+def received_frequencies(scenario: "Scenario",
+                         rel: RelativeState) -> tuple[np.ndarray | None, ...]:
+    """Each target's received frequency over the grid of ``rel``, None for a
+    target without a tonal: one ``doppler`` call over the range rates of the
+    targets with a tonal."""
+    rows = [i for i, target in enumerate(scenario.targets) if target.tonal is not None]
+    f0 = np.array([scenario.targets[i].tonal.f0 for i in rows])[:, np.newaxis]
+    shifted = dict(zip(rows, doppler(f0, rel.range_rate[rows], scenario.c)))
+    return tuple(shifted.get(i) for i in range(len(scenario.targets)))
+
+
+def keep_history(scenario: "Scenario", times: np.ndarray, rel: RelativeState,
+                 dopplers: tuple[np.ndarray | None, ...]) -> MeasurementHistory:
+    """Keep the scenario's one history, with read-only arrays: the bearings of
+    ``rel`` and the ``received_frequencies`` over ``times``, the scenario's grid.
+
+    Raises:
+        ZeroRange: If a range of ``rel`` is not positive.
+    """
+    history = MeasurementHistory(times=times, bearings=bearing(rel), dopplers=dopplers)
+    for array in (history.times, history.bearings, *history.dopplers):
+        if array is not None:
+            array.flags.writeable = False
+    vars(scenario)["_history"] = history
+    return history
+
+
 def measure_scenario(scenario: "Scenario") -> MeasurementHistory:
     """The scenario's bearings (and Doppler where a tonal exists) over its grid.
 
-    One history per Scenario object: the first call builds it and keeps it
-    on the scenario, with read-only arrays, and every later call returns
-    that same object. The first call reads the kinematics pass that
-    ``scenario_io.validate_scenario`` left on the scenario and then drops
-    it, so a loaded scenario's kinematics are evaluated once. A scenario
-    that was never validated gets its own ``relative_states`` pass, with
-    the scenario's range floor and under the caller's ``np.errstate``.
-    Bearings are one expression over the (M, N) positions and Doppler one
-    ``doppler`` call over the range rates of the targets with a tonal.
+    One history per Scenario object, with read-only arrays, so every later
+    call returns the same object. ``scenario_io.validate_scenario`` builds
+    it from the kinematics pass and the Doppler series it checked, so a
+    loaded scenario's kinematics and Doppler are evaluated once. A scenario
+    that was never validated gets its own ``relative_states`` pass on the
+    first call, with the scenario's range floor and under the caller's
+    ``np.errstate``.
 
     Raises:
         ZeroRange: With the offending target index and first offending time
             if any target meets the observer.
     """
-    kept = vars(scenario)  # outside the dataclass fields; see ``Scenario``
-    if "_history" in kept:
-        return kept["_history"]
+    if "_history" in vars(scenario):  # outside the dataclass fields; see ``Scenario``
+        return vars(scenario)["_history"]
     times = scenario.grid()
-    rel = kept.get("_kinematics")
-    if rel is None:
-        try:
-            rel = relative_states(scenario.target_trajectories(), scenario.observer, times,
-                                  scenario.tolerances.eps_range)
-        except ZeroRange as exc:
-            raise ZeroRange(
-                f"target {exc.target_index} coincides with observer at t={exc.time}",
-                target_index=exc.target_index, time=exc.time,
-            ) from exc
-    rows = [i for i, target in enumerate(scenario.targets) if target.tonal is not None]
-    f0 = np.array([scenario.targets[i].tonal.f0 for i in rows])[:, np.newaxis]
-    shifted = dict(zip(rows, doppler(f0, rel.range_rate[rows], scenario.c)))
-    dopplers = tuple(shifted.get(i) for i in range(len(scenario.targets)))
-    history = MeasurementHistory(times=times, bearings=bearing(rel), dopplers=dopplers)
-    for array in (history.times, history.bearings, *shifted.values()):
-        array.flags.writeable = False
-    kept["_history"] = history
-    kept.pop("_kinematics", None)  # (M, N, 2) arrays the history no longer needs
-    return history
+    try:
+        rel = relative_states(scenario.target_trajectories(), scenario.observer, times,
+                              scenario.tolerances.eps_range)
+    except ZeroRange as exc:
+        raise ZeroRange(
+            f"target {exc.target_index} coincides with observer at t={exc.time}",
+            target_index=exc.target_index, time=exc.time,
+        ) from exc
+    return keep_history(scenario, times, rel, received_frequencies(scenario, rel))
 
 
 def angular_difference(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:

@@ -40,7 +40,8 @@ from typing import Any, TextIO
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .measurement import DEFAULT_SOUND_SPEED, MeasurementHistory, Tonal, doppler
+from .measurement import (DEFAULT_SOUND_SPEED, MeasurementHistory, Tonal, keep_history,
+                          received_frequencies)
 from .trajectory import (DEFAULT_EPS_RANGE, PolynomialTrajectory, SampledTrajectory,
                          relative_states)
 
@@ -75,11 +76,10 @@ class TargetConfig:
 class Scenario:
     """Observer, targets, time window/grid, propagation speed, tolerances.
 
-    A Scenario object also keeps two things outside its fields, so equality,
-    hashing, ``repr`` and ``dataclasses.replace`` ignore them: the kinematics
-    pass of a successful ``validate_scenario``, until
-    ``measurement.measure_scenario`` builds the scenario's one
-    ``MeasurementHistory`` from it, and then that history.
+    A Scenario object also keeps its one ``MeasurementHistory`` outside its
+    fields, so equality, hashing, ``repr`` and ``dataclasses.replace``
+    ignore it. A successful ``validate_scenario`` builds it; otherwise
+    ``measurement.measure_scenario`` does, on first use.
     """
 
     observer: PolynomialTrajectory
@@ -137,7 +137,9 @@ def validate_scenario(scenario: Scenario, points_field: str = "time.points") -> 
     below ``eps_range``, whose range or range rate overflows, or whose
     Doppler shift, if it has a tonal, overflows; a target with several
     faults is reported for the first of them in that order. A scenario
-    that passes keeps that pass for ``measurement.measure_scenario``.
+    that passes keeps the bearings of that pass and the Doppler series it
+    checked as its one ``MeasurementHistory``, which
+    ``measurement.measure_scenario`` returns.
     """
     _check_fields(scenario, points_field)
     times = scenario.grid()
@@ -145,19 +147,16 @@ def validate_scenario(scenario: Scenario, points_field: str = "time.points") -> 
         raise ValidationError(
             points_field, f"{scenario.grid_points} points on [{scenario.t_start}, "
             f"{scenario.t_end}] give only {len(np.unique(times))} distinct float times")
-    rows = [i for i, target in enumerate(scenario.targets) if target.tonal is not None]
     # Overflow and zero range show in the arrays, checked below.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = relative_states(scenario.target_trajectories(), scenario.observer, times, 0.0)
-        f0 = np.array([scenario.targets[i].tonal.f0 for i in rows])[:, np.newaxis]
-        shifted = doppler(f0, state.range_rate[rows], scenario.c)
+        dopplers = received_frequencies(scenario, state)
     near = state.range < scenario.tolerances.eps_range
     finite = np.isfinite(state.range) & np.isfinite(state.range_rate)
-    shift_finite = np.ones_like(finite)
-    shift_finite[rows] = np.isfinite(shifted)
-    faulty = np.flatnonzero((near | ~finite | ~shift_finite).any(axis=1))
+    shift_finite = np.array([d is None or np.isfinite(d).all() for d in dopplers])
+    faulty = np.flatnonzero((near | ~finite).any(axis=1) | ~shift_finite)
     if not faulty.size:
-        vars(scenario)["_kinematics"] = state  # see Scenario
+        keep_history(scenario, times, state, dopplers)
         return
     i = faulty[0]
     if near[i].any():

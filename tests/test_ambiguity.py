@@ -9,6 +9,7 @@ from obskit.ambiguity import (AMBIGUOUS, BEARING, COMBINED, DISTINGUISHABLE, DOP
                               generate_bearing_ambiguous, generate_doppler_ambiguous,
                               verify_ambiguity)
 from obskit.errors import NonPositiveAlpha, NonPositiveRange
+from obskit.scenario_io import read_trajectory_csv, write_trajectory_csv
 from obskit.selftest import (random_alpha, random_doppler_spec, random_observer,
                              random_polynomial)
 from obskit.trajectory import PolynomialTrajectory, SampledTrajectory, relative_state
@@ -28,9 +29,10 @@ def ranges_match_relation(generated, base, observer, spec):
     return float(np.max(np.abs(s_i - predicted) / predicted))
 
 
-def base_geometry():
-    observer = PolynomialTrajectory(0.0, ((0.0, 0.0), (4.0, 1.0)))
-    base = PolynomialTrajectory(0.0, ((1500.0, 2000.0), (-6.0, 3.0)))
+def base_geometry(unit=1.0):
+    """The base target and the observer, with times counted in ``unit`` seconds."""
+    observer = PolynomialTrajectory(0.0, ((0.0, 0.0), (4.0 / unit, 1.0 / unit)))
+    base = PolynomialTrajectory(0.0, ((1500.0, 2000.0), (-6.0 / unit, 3.0 / unit)))
     return base, observer
 
 
@@ -225,6 +227,30 @@ class TestVerifyAmbiguity:
         sampled = SampledTrajectory(grid, np.array([base.eval(t) for t in grid]))
         with pytest.raises(ValueError, match="at least 3 grid times"):
             verify_ambiguity(sampled, base, observer, None, C_SOUND, grid, regime=BEARING)
+
+    @pytest.mark.parametrize("unit", [1.0, 1e-10], ids=["s", "1e-10 s"])
+    def test_sampled_times_off_the_grid_rejected_in_any_time_unit(self, unit):
+        # One geometry on a 10 s window; the copy of the base is sampled
+        # half a window later.
+        base, observer = base_geometry(unit)
+        grid = short_grid(window=10.0 * unit)
+        later = grid + 5.0 * unit
+        shifted = SampledTrajectory(later, base.eval(later))
+        with pytest.raises(ValueError, match="must coincide with the grid"):
+            verify_ambiguity(shifted, base, observer, None, C_SOUND, grid, regime=BEARING)
+
+    @pytest.mark.parametrize("unit", [1.0, 1e-10], ids=["s", "1e-10 s"])
+    def test_csv_round_trip_verifies_in_any_time_unit(self, tmp_path, unit):
+        base, observer = base_geometry(unit)
+        generated = generate_bearing_ambiguous(base, observer, 1.5,
+                                               short_grid(window=10.0 * unit))
+        path = tmp_path / "counterpart.csv"
+        with open(path, "w", encoding="utf-8") as out:
+            write_trajectory_csv(generated, out)
+        candidate = read_trajectory_csv(path)
+        cert = verify_ambiguity(candidate, base, observer, None, C_SOUND, candidate.times,
+                                regime=BEARING)
+        assert cert.verdict == AMBIGUOUS
 
     def test_certificate_serializes_both_trajectory_kinds(self):
         base, observer = base_geometry()

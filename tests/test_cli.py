@@ -19,6 +19,7 @@ from obskit import cli, scenario_io, selftest, trajectory
 from obskit.ambiguity import (DopplerAmbiguitySpec, _profile_values, generate_bearing_ambiguous,
                               generate_doppler_ambiguous)
 from obskit.cli import run_cli
+from obskit.errors import ObskitError, ValidationError
 from obskit.measurement import Tonal, measure_scenario
 from obskit.scenario_io import TargetConfig, dumps_json, save_scenario, write_trajectory_csv
 
@@ -128,6 +129,18 @@ class TestEstimate:
     def test_starved_grid_exits_two(self, tmp_path, capsys):
         assert run_cli(["estimate", str(DOPPLER_BASE), "--grid-points", "2"]) == 2
         assert "analysis error" in capsys.readouterr().err
+
+
+def test_every_other_library_error_exits_two(monkeypatch, capsys):
+    class NewAnalysisError(ObskitError):
+        """A library error class that run_cli does not name."""
+
+    def failing(*args, **kwargs):
+        raise NewAnalysisError("no verdict on this input")
+
+    monkeypatch.setattr(cli, "check_observable", failing)
+    assert run_cli(["observability", str(OBSERVABLE)]) == 2
+    assert capsys.readouterr().err == "analysis error: no verdict on this input\n"
 
 
 class TestKinematicsPasses:
@@ -859,6 +872,26 @@ def test_loadable_file_runs_in_every_command(tmp_path_factory, data):
     for code, err in outcomes:
         assert code == 0 and not err or code == 2 and err.startswith("analysis error: "), err
     assert outcomes[1][0] == 0, outcomes[1][1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=extreme_scenario_files())
+def test_history_kept_at_load_is_a_fresh_measurement(data):
+    """The history validation keeps equals, bit for bit, the one that a pass of
+    ``measure_scenario`` makes for an equal scenario that was never validated."""
+    try:
+        scenario = scenario_io.scenario_from_dict(data)
+    except ValidationError:
+        event("rejected")
+        return
+    event("loaded")
+    kept, fresh = measure_scenario(scenario), measure_scenario(replace(scenario))
+    assert kept is not fresh
+    pairs = [(kept.times, fresh.times), (kept.bearings, fresh.bearings)]
+    assert [d is None for d in kept.dopplers] == [d is None for d in fresh.dopplers]
+    pairs += [pair for pair in zip(kept.dopplers, fresh.dopplers) if pair[0] is not None]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # Finite range and range rate, but c is the smallest subnormal, so the

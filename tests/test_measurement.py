@@ -10,12 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from obskit.errors import ZeroRange
+from obskit import measurement
+from obskit.errors import ValidationError, ZeroRange
 from obskit.measurement import (MeasurementHistory, Tonal, angular_difference,
                                 bearing, design_matrix, doppler, measure_scenario,
                                 wrap_angle)
-from obskit.scenario_io import (Scenario, TargetConfig, scenario_from_dict,
-                                write_measurements_csv)
+from obskit.scenario_io import (Scenario, TargetConfig, load_scenario, scenario_from_dict,
+                                validate_scenario, write_measurements_csv)
 from obskit.selftest import random_scenario
 from obskit.trajectory import PolynomialTrajectory, RelativeState, relative_state
 
@@ -240,6 +241,31 @@ class TestOneHistoryPerScenario:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0.0
+
+    def test_loaded_scenario_keeps_only_its_history(self, tmp_path):
+        path = tmp_path / "two_targets.json"
+        path.write_text(json.dumps(TWO_TARGETS))
+        scenario = load_scenario(path)
+        assert [key for key in vars(scenario) if key.startswith("_")] == ["_history"]
+        assert measure_scenario(scenario) is vars(scenario)["_history"]
+
+    def test_doppler_evaluated_once_per_loaded_scenario(self, monkeypatch):
+        calls = []
+        real = measurement.doppler
+        monkeypatch.setattr(measurement, "doppler",
+                            lambda *args: calls.append(np.shape(args[1])) or real(*args))
+        scenario = scenario_from_dict(json.loads(json.dumps(TWO_TARGETS)))
+        history = measure_scenario(scenario)
+        assert calls == [(1, 41)]  # one call, over the one target with a tonal
+        assert history.dopplers[1] is None
+
+    def test_scenario_that_fails_validation_keeps_nothing(self):
+        scenario = scenario_from_dict(json.loads(json.dumps(TWO_TARGETS)))
+        # The smallest subnormal c: the Doppler shift overflows on the grid.
+        overflowing = replace(scenario, c=5e-324)
+        with pytest.raises(ValidationError, match=r"^targets\[0\]\.tonal_hz: "):
+            validate_scenario(overflowing)
+        assert not [key for key in vars(overflowing) if key.startswith("_")]
 
     def test_equality_and_hash_see_only_the_fields(self):
         measured = scenario_from_dict(json.loads(json.dumps(TWO_TARGETS)))
