@@ -190,9 +190,10 @@ def _relative_series(traj: Trajectory, observer: PolynomialTrajectory,
     if len(times) < 3:
         raise ValueError("range rates of a sampled trajectory need at least 3 grid "
                          f"times for second-order differences, got {len(times)}")
-    # The tolerance scales with the grid step, so the check does not depend on the time unit.
-    if len(traj.times) != len(times) or not np.allclose(
-            traj.times, times, rtol=0.0, atol=1e-9 * np.min(np.diff(times))):
+    # The tolerance scales with the grid step, so the check does not depend on
+    # the time unit. A grid that is the trajectory's own times passes it.
+    if traj.times is not times and (len(traj.times) != len(times) or not np.allclose(
+            traj.times, times, rtol=0.0, atol=1e-9 * np.min(np.diff(times)))):
         raise ValueError("sampled trajectory times must coincide with the grid")
     rel = traj.positions - observer.eval(times)
     ranges = np.linalg.norm(rel, axis=1)

@@ -9,17 +9,12 @@ Subcommands:
 
 ``run_cli`` builds its argparse parser on its first call and reuses it for
 every later call in the process; a one-shot ``obskit ...`` from a shell
-builds it once, as before. It also keeps the last scenario it loaded and
-reuses it while the file's bytes and the ``--grid-points`` override are
-unchanged. That one entry holds the file's bytes and the validated
-``Scenario``, which carries the read-only measurement history that its
-validation built, so the commands of one run on one file share one load,
-validation and measurement. With M targets and N grid points the history
-takes at most 16·M·N bytes (bearings and Doppler series) plus 8·N for the
-times, and the sort of its bearings that the pair diagnostics keep adds
-16·M·N. A file that fails
-to load is never kept, loading a different file drops the entry first, and
-a pipe or FIFO, which can be read only once, is never kept.
+builds it once, as before. The parser is the only state this module keeps:
+``scenario_io.load_scenario`` keeps the last scenario loaded, keyed on the
+file's text and the ``--grid-points`` override, so the commands of one run
+on one file share one parse, validation and measurement, and
+``read_trajectory_csv`` returns a CSV that ``write_trajectory_csv`` just
+wrote, or that it read last, without parsing it again.
 
 ``ambiguity generate`` samples its profiles on the whole grid at once: the
 doppler regime's rotation ``rate * (t - t0)`` and the bearing regime's scale
@@ -41,8 +36,6 @@ floating point overflow on extreme inputs).
 from __future__ import annotations
 
 import argparse
-import os
-import stat
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -71,32 +64,8 @@ def _check_numbers(args: argparse.Namespace) -> None:
         raise ValidationError("--seed", f"must be >= 0, got {args.seed}")
 
 
-def _read_bytes(path: str) -> bytes | None:
-    """The bytes of a regular file, else None: a pipe or FIFO can be read only
-    once, so ``load_scenario`` reads it, and a read error is its to report."""
-    try:
-        if not stat.S_ISREG(os.stat(path).st_mode):  # stat opens no FIFO
-            return None
-        with open(path, "rb", buffering=0) as file:  # one read to the end, no buffer
-            return file.read()
-    except OSError:
-        return None
-
-
 def _load(args: argparse.Namespace) -> Scenario:
-    """The scenario of ``args``; the last one loaded while the file's bytes and
-    the grid override are unchanged."""
-    global _LOADED
-    grid_points = getattr(args, "grid_points", None)
-    data = _read_bytes(args.scenario)
-    if _LOADED is not None and _LOADED[:2] == (data, grid_points):
-        return _LOADED[2]
-    _LOADED = None
-    scenario = load_scenario(args.scenario, grid_points)
-    # Kept only if the file held the same bytes before and after the load.
-    if data is not None and _read_bytes(args.scenario) == data:
-        _LOADED = (data, grid_points, scenario)
-    return scenario
+    return load_scenario(args.scenario, getattr(args, "grid_points", None))
 
 
 def _emit_json(text: str, output: str | None) -> None:
@@ -302,11 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 # there (bench/spans.py times parser set-up and parsing) sees the one build,
 # and every call of the factory returns a fresh parser.
 _PARSER: argparse.ArgumentParser | None = None
-
-# The scenario run_cli loaded last, as (file bytes, --grid-points, Scenario);
-# see the module docstring. ``_load`` calls the module global
-# ``load_scenario`` on every miss, so a wrapper put there times each load.
-_LOADED: tuple[bytes, int | None, Scenario] | None = None
 
 
 def run_cli(argv: list[str]) -> int:

@@ -134,7 +134,7 @@ def validate_scenario(scenario: Scenario, points_field: str = "time.points") -> 
     name ``points_field``, the field that set its size. The kinematic check
     evaluates all targets in one ``relative_states`` pass with no range
     floor and names the first target, in index order, whose range falls
-    below ``eps_range``, whose range or range rate overflows, or whose
+    below ``eps_range`` or is 0, whose range or range rate overflows, or whose
     Doppler shift, if it has a tonal, overflows; a target with several
     faults is reported for the first of them in that order. A scenario
     that passes keeps the bearings of that pass and the Doppler series it
@@ -151,9 +151,13 @@ def validate_scenario(scenario: Scenario, points_field: str = "time.points") -> 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = relative_states(scenario.target_trajectories(), scenario.observer, times, 0.0)
         dopplers = received_frequencies(scenario, state)
-    near = state.range < scenario.tolerances.eps_range
+    # A range of exactly 0 is a meeting even when eps_range is 0.
+    near = (state.range < scenario.tolerances.eps_range) | (state.range == 0.0)
     finite = np.isfinite(state.range) & np.isfinite(state.range_rate)
-    shift_finite = np.array([d is None or np.isfinite(d).all() for d in dopplers])
+    tonal = [i for i, d in enumerate(dopplers) if d is not None]
+    shift_finite = np.ones(len(dopplers), dtype=bool)
+    if tonal:
+        shift_finite[tonal] = np.isfinite(np.array([dopplers[i] for i in tonal])).all(axis=1)
     faulty = np.flatnonzero((near | ~finite).any(axis=1) | ~shift_finite)
     if not faulty.size:
         keep_history(scenario, times, state, dopplers)
@@ -270,25 +274,50 @@ def scenario_from_dict(data: dict, grid_points: int | None = None) -> Scenario:
     return scenario
 
 
+# The scenario load_scenario returned last, as ((file text, type and value of
+# grid_points), Scenario); see load_scenario.
+_KEPT_SCENARIO: tuple[tuple[str, type, int | None], Scenario] | None = None
+
+
 def load_scenario(path: str | Path, grid_points: int | None = None) -> Scenario:
     """Load and validate a scenario JSON file; see ``scenario_from_dict``.
+
+    The file is read once per call. The last scenario loaded is kept with
+    the text it was parsed from and its ``grid_points``: a call that reads
+    the same text with the same override returns that same ``Scenario``
+    object, and its read-only measurement history, without parsing or
+    validating again. A load is a function of that text and override, so
+    the result is the one a fresh process gets; a pipe or FIFO is read once
+    like any file. Any other text drops the entry before it is parsed, and
+    a file that fails to load is never kept. Every caller in the process
+    shares the entry. With M targets and N grid points the history takes at
+    most 16·M·N bytes plus 8·N for the times, and the sort of its bearings
+    that the pair diagnostics keep adds 16·M·N; the entry holds them until
+    the next load of another text.
 
     Raises:
         ParseError: Unreadable file, text that is not UTF-8, or malformed or
             too deeply nested JSON.
         ValidationError: Schema or invariant violation, with the field path.
     """
+    global _KEPT_SCENARIO
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
+    key = (text, type(grid_points), grid_points)
+    if _KEPT_SCENARIO is not None and _KEPT_SCENARIO[0] == key:
+        return _KEPT_SCENARIO[1]
+    _KEPT_SCENARIO = None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"malformed JSON in {path}: nested too deeply") from exc
-    return scenario_from_dict(data, grid_points)
+    scenario = scenario_from_dict(data, grid_points)
+    _KEPT_SCENARIO = (key, scenario)
+    return scenario
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -380,6 +409,14 @@ class FloatTexts:
         self.texts, self.width, self.finite = texts, width, finite
 
 
+def _keep_last(entries: dict, key: Any, value: Any, capacity: int) -> None:
+    """Put ``key`` last in ``entries`` (least recent first), dropping the
+    least recent entry when a new key would exceed ``capacity``."""
+    if entries.pop(key, None) is None and len(entries) == capacity:
+        del entries[next(iter(entries))]
+    entries[key] = value
+
+
 # The FloatTexts of the arrays _format_array formatted last, least recent first.
 _FORMATTED: dict[tuple[str, tuple[int, ...], bytes], FloatTexts] = {}
 
@@ -400,14 +437,12 @@ def _format_array(values: np.ndarray) -> FloatTexts:
     is shared with later callers, so no caller may change it.
     """
     key = (values.dtype.str, values.shape, values.tobytes())
-    floats = _FORMATTED.pop(key, None)
+    floats = _FORMATTED.get(key)
     if floats is None:
         floats = FloatTexts(_reprs(values.ravel().tolist()),
                             values.shape[1] if values.ndim == 2 else None,
                             bool(np.isfinite(values).all()))
-        if len(_FORMATTED) == 3:
-            del _FORMATTED[next(iter(_FORMATTED))]
-    _FORMATTED[key] = floats
+    _keep_last(_FORMATTED, key, floats, 3)
     return floats
 
 
@@ -530,13 +565,20 @@ def write_trajectory_csv(traj: SampledTrajectory, out: TextIO) -> None:
     """Sampled trajectory as CSV with columns t,x_m,y_m (same conventions as above).
 
     The rows are written from ``_format_array``'s texts of the times and
-    positions, each value's ``repr`` (``nan`` and ``inf`` included).
+    positions, each value's ``repr`` (``nan`` and ``inf`` included), in one
+    write. When ``read_trajectory_csv`` would accept the text (at least 3
+    rows, every value finite; the times already increase strictly), the
+    text is kept with copies of the arrays, as a parse of it is: a ``repr``
+    parses back to the same bits, so reading the file back parses nothing.
     """
-    times, xy = _format_array(traj.times).texts, _format_array(traj.positions).texts
-    cells = [""] * (3 * len(times))
-    cells[0::3], cells[1::3], cells[2::3] = times, xy[0::2], xy[1::2]
-    out.write("t,x_m,y_m\n")
-    out.write("%s,%s,%s\n" * len(times) % tuple(cells))
+    times, xy = _format_array(traj.times), _format_array(traj.positions)
+    rows = len(times.texts)
+    cells = [""] * (3 * rows)
+    cells[0::3], cells[1::3], cells[2::3] = times.texts, xy.texts[0::2], xy.texts[1::2]
+    text = "t,x_m,y_m\n" + "%s,%s,%s\n" * rows % tuple(cells)
+    out.write(text)
+    if rows >= 3 and times.finite and xy.finite:
+        _keep_last(_KEPT_TRAJECTORIES, text, (traj.times.copy(), traj.positions.copy()), 2)
 
 
 def _parse_rows(path: str | Path, rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -558,16 +600,31 @@ def _parse_rows(path: str | Path, rows: list[str]) -> tuple[np.ndarray, np.ndarr
     return np.asarray(times), np.asarray(positions)
 
 
+# The trajectory CSV texts read_trajectory_csv parsed or write_trajectory_csv
+# wrote last, least recent first, each with its times and positions.
+_KEPT_TRAJECTORIES: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def read_trajectory_csv(path: str | Path) -> SampledTrajectory:
     """Read a t,x_m,y_m CSV back into a SampledTrajectory.
 
-    The data rows go through numpy's C reader (``np.loadtxt``) in one call,
-    which parses each field with the same C routine as ``float()``. Its
-    result is kept only when it holds one row of three values per line.
-    Any other file goes through ``_parse_rows``, which names the first bad
-    line or reads what only ``float()`` reads (``1_0``, non-ASCII digits),
-    so the accepted files, the values and the errors are those of
-    ``_parse_rows`` alone.
+    The file is read once per call. If its text is one of the two kept
+    trajectory texts (the ones this function parsed or
+    ``write_trajectory_csv`` wrote last), the result is built from copies of
+    that text's kept arrays without parsing: a parse is a function of the
+    text, so the values are the bits a fresh parse gives. The returned
+    arrays are the caller's own, writeable and never shared, and a text
+    that fails to parse is never kept. Each entry holds its text and its
+    arrays, ≈69 bytes a row for an ``ambiguity generate`` counterpart: the
+    two take ≈140 KB at N=1001 rows and ≈1.4 MB at N=10001.
+
+    Otherwise the data rows go through numpy's C reader (``np.loadtxt``) in
+    one call, which parses each field with the same C routine as
+    ``float()``. Its result is used only when it holds one row of three
+    values per line. Any other file goes through ``_parse_rows``, which
+    names the first bad line or reads what only ``float()`` reads (``1_0``,
+    non-ASCII digits), so the accepted files, the values and the errors are
+    those of ``_parse_rows`` alone.
 
     Raises:
         ParseError: Unreadable or non-UTF-8 file, bad header, non-numeric or
@@ -578,6 +635,10 @@ def read_trajectory_csv(path: str | Path) -> SampledTrajectory:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read trajectory file {path}: {exc}") from exc
+    kept = _KEPT_TRAJECTORIES.get(text)
+    if kept is not None:
+        _keep_last(_KEPT_TRAJECTORIES, text, kept, 2)
+        return SampledTrajectory(times=kept[0].copy(), positions=kept[1].copy())
     lines = text.strip().splitlines()
     if not lines or lines[0].strip() != "t,x_m,y_m":
         raise ParseError(f"{path}: expected header 't,x_m,y_m'")
@@ -602,4 +663,5 @@ def read_trajectory_csv(path: str | Path) -> SampledTrajectory:
         raise ParseError(f"{path}: need at least 3 rows, got {len(times)}")
     if not np.all(np.diff(times) > 0):
         raise ParseError(f"{path}: times must be strictly increasing")
+    _keep_last(_KEPT_TRAJECTORIES, text, (times.copy(), positions.copy()), 2)
     return SampledTrajectory(times=times, positions=positions)

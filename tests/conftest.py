@@ -3,7 +3,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
-from obskit import cli, scenario_io
+from obskit import scenario_io
 
 settings.register_profile(
     "obskit",
@@ -24,7 +24,8 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "obskit"))
 
 @pytest.fixture(autouse=True)
 def fresh_loaded_scenario(monkeypatch):
-    """Each test starts with no scenario kept by ``cli.run_cli`` and no texts
-    kept by ``scenario_io._format_array``."""
-    monkeypatch.setattr(cli, "_LOADED", None)
+    """Each test starts with no scenario or trajectory CSV kept by
+    ``scenario_io`` and no texts kept by ``scenario_io._format_array``."""
+    monkeypatch.setattr(scenario_io, "_KEPT_SCENARIO", None)
+    monkeypatch.setattr(scenario_io, "_KEPT_TRAJECTORIES", {})
     monkeypatch.setattr(scenario_io, "_FORMATTED", {})

@@ -14,7 +14,7 @@ from obskit import (PolynomialTrajectory, Scenario, TargetConfig, Tolerances,
                     generate_bearing_ambiguous, generate_doppler_ambiguous,
                     measure_scenario, state_from_trajectory, verify_ambiguity)
 from obskit.ambiguity import AMBIGUOUS, COMBINED, DopplerAmbiguitySpec
-from obskit import cli, scenario_io
+from obskit import scenario_io
 from obskit.cli import run_cli
 from obskit.estimator import DEGENERATE, UNIQUE, split_state
 from obskit.observability import OBSERVABLE, UNOBSERVABLE
@@ -352,8 +352,9 @@ def test_criterion_10_brute_force_rank_oracle():
 
 
 def start_afresh():
-    """The next command loads its file and formats its arrays afresh."""
-    cli._LOADED = None
+    """The next command loads and parses its files and formats its arrays afresh."""
+    scenario_io._KEPT_SCENARIO = None
+    scenario_io._KEPT_TRAJECTORIES.clear()
     scenario_io._FORMATTED.clear()
 
 

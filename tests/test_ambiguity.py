@@ -240,6 +240,24 @@ class TestVerifyAmbiguity:
             verify_ambiguity(shifted, base, observer, None, C_SOUND, grid, regime=BEARING)
 
     @pytest.mark.parametrize("unit", [1.0, 1e-10], ids=["s", "1e-10 s"])
+    def test_only_the_trajectorys_own_times_skip_the_grid_check(self, unit, monkeypatch):
+        base, observer = base_geometry(unit)
+        sampled = SampledTrajectory(short_grid(window=10.0 * unit),
+                                    base.eval(short_grid(window=10.0 * unit)))
+        checks = []
+        allclose = np.allclose
+        monkeypatch.setattr(np, "allclose", lambda *a, **k: checks.append(1) or allclose(*a, **k))
+        for grid in (sampled.times, sampled.times.copy()):
+            cert = verify_ambiguity(sampled, base, observer, None, C_SOUND, grid,
+                                    regime=BEARING)
+            assert cert.verdict == AMBIGUOUS
+        assert len(checks) == 1  # the copy is checked
+        off_grid = sampled.times.copy()
+        off_grid[1] += 1e-6 * unit
+        with pytest.raises(ValueError, match="must coincide with the grid"):
+            verify_ambiguity(sampled, base, observer, None, C_SOUND, off_grid, regime=BEARING)
+
+    @pytest.mark.parametrize("unit", [1.0, 1e-10], ids=["s", "1e-10 s"])
     def test_csv_round_trip_verifies_in_any_time_unit(self, tmp_path, unit):
         base, observer = base_geometry(unit)
         generated = generate_bearing_ambiguous(base, observer, 1.5,

@@ -216,16 +216,17 @@ class TestKinematicsPasses:
 
 
 class TestLoadedScenarioReuse:
-    """``run_cli`` reuses the last loaded scenario while the file's bytes and the
-    grid override are unchanged, and loads it again otherwise."""
+    """``load_scenario``, which every command calls, reuses the last loaded
+    scenario while the file's text and the grid override are unchanged, and
+    parses it again otherwise."""
 
     @pytest.fixture
     def loads(self, monkeypatch):
-        """The paths ``cli`` passes to ``load_scenario``, one per load."""
+        """The JSON data of each scenario parse, one per parse."""
         calls = []
-        real = cli.load_scenario
-        monkeypatch.setattr(cli, "load_scenario",
-                            lambda path, *args: calls.append(Path(path).name) or real(path, *args))
+        real = scenario_io.scenario_from_dict
+        monkeypatch.setattr(scenario_io, "scenario_from_dict",
+                            lambda data, *args: calls.append(data) or real(data, *args))
         return calls
 
     def outcome(self, capsys, argv):
@@ -238,8 +239,9 @@ class TestLoadedScenarioReuse:
                      ["simulate", OBSERVABLE], ["estimate", COLLINEAR],
                      ["observability", OBSERVABLE]):
             assert self.outcome(capsys, argv)[0] == 0
-        assert loads == [OBSERVABLE.name, COLLINEAR.name, OBSERVABLE.name]
-        assert cli._LOADED[0] == OBSERVABLE.read_bytes()  # one entry, the last file
+        observable, collinear = (json.loads(path.read_text()) for path in (OBSERVABLE, COLLINEAR))
+        assert loads == [observable, collinear, observable]
+        assert scenario_io._KEPT_SCENARIO[0][0] == OBSERVABLE.read_text()  # one entry, the last
 
     def test_same_length_rewrite_is_reloaded(self, tmp_path, loads, capsys):
         path = tmp_path / "scenario.json"
@@ -252,9 +254,9 @@ class TestLoadedScenarioReuse:
         path.write_text(rewritten)
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))  # the same mtime tick
         after = self.outcome(capsys, ["observability", path])
-        assert loads == ["scenario.json"] * 2
+        assert len(loads) == 2
         assert before[0] == after[0] == 0 and before[1] != after[1]
-        cli._LOADED = None
+        scenario_io._KEPT_SCENARIO = None
         assert self.outcome(capsys, ["observability", path]) == after
 
     def test_other_grid_override_is_reloaded(self, loads, capsys):
@@ -274,6 +276,7 @@ class TestLoadedScenarioReuse:
         for _ in range(2):  # errors are not kept
             code, _, err = self.outcome(capsys, ["observability", path])
             assert code == 1 and err.startswith("error: c: must be > 0")
+            assert scenario_io._KEPT_SCENARIO is None
         path.write_text(json.dumps(data))
         assert self.outcome(capsys, ["observability", path])[0] == 0
         assert len(loads) == 3
@@ -281,7 +284,7 @@ class TestLoadedScenarioReuse:
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_pipe_is_read_once(self, loads, capsys):
         expected = self.outcome(capsys, ["estimate", OBSERVABLE])
-        cli._LOADED = None  # nothing kept to match the pipe's bytes
+        scenario_io._KEPT_SCENARIO = None  # nothing kept to match the pipe's text
         read, write = os.pipe()
         try:
             os.write(write, OBSERVABLE.read_bytes())
@@ -289,12 +292,14 @@ class TestLoadedScenarioReuse:
             assert self.outcome(capsys, ["estimate", f"/dev/fd/{read}"]) == expected
         finally:
             os.close(read)
-        assert len(loads) == 2 and cli._LOADED is None  # a pipe is never kept
+        # A pipe is kept by its text like any file, so the file's own text hits.
+        assert self.outcome(capsys, ["estimate", OBSERVABLE]) == expected
+        assert len(loads) == 2
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_fifo_is_read_once(self, tmp_path, loads, capsys):
         expected = self.outcome(capsys, ["estimate", OBSERVABLE])
-        cli._LOADED = None
+        scenario_io._KEPT_SCENARIO = None
         fifo = tmp_path / "scenario.fifo"
         os.mkfifo(fifo)
         result = []
@@ -312,20 +317,21 @@ class TestLoadedScenarioReuse:
         os.write(writer, OBSERVABLE.read_bytes())
         os.close(writer)
         command.join(timeout=30)
-        if command.is_alive():  # blocked in a second open: an empty writer ends it
+        if command.is_alive():  # blocked in a second open: end it, then fail
             os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
-            command.join()
+            command.join(timeout=30)
+            pytest.fail("the command opened the FIFO a second time")
         assert result == [expected]
-        assert len(loads) == 2 and cli._LOADED is None
+        assert len(loads) == 2
 
     @pytest.mark.parametrize("missing", ["no-such-file.json", "{tmp}"])
-    def test_unreadable_file_message_unchanged(self, tmp_path, capsys, missing):
+    def test_unreadable_file_message_unchanged(self, tmp_path, loads, capsys, missing):
         missing = missing.replace("{tmp}", str(tmp_path))  # a directory
         with pytest.raises(scenario_io.ParseError) as expected:
             scenario_io.load_scenario(missing)
         assert self.outcome(capsys, ["estimate", OBSERVABLE])[0] == 0
         assert self.outcome(capsys, ["estimate", missing]) == (1, "", f"error: {expected.value}\n")
-        assert cli._LOADED is None
+        assert len(loads) == 1  # the unreadable file is never parsed
 
 
 class TestAmbiguity:
@@ -617,7 +623,7 @@ class TestDeterminism:
     def test_observability_reports_are_byte_identical(self, tmp_path, scenario, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run_cli(["observability", str(scenario), "-o", str(a)]) == 0
-        cli._LOADED = None  # the second run loads the file afresh,
+        scenario_io._KEPT_SCENARIO = None  # the second run loads the file afresh,
         scenario_io._FORMATTED.clear()  # and formats its arrays afresh
         assert run_cli(["observability", str(scenario), "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -659,7 +665,7 @@ def test_shared_parser_carries_no_state_between_commands(monkeypatch, capsys):
     fresh = []
     for argv in sequence:
         monkeypatch.setattr(cli, "_PARSER", None)
-        monkeypatch.setattr(cli, "_LOADED", None)
+        monkeypatch.setattr(scenario_io, "_KEPT_SCENARIO", None)
         fresh.append(outcome(argv))
     monkeypatch.setattr(cli, "_PARSER", None)
     calls = _counting_build_parser(monkeypatch)
@@ -813,6 +819,8 @@ def test_ambiguity_run_formats_each_array_once(tmp_path, monkeypatch, capsys):
     assert [size for size in calls if size >= n] == [n, 2 * n, 2 * n]
     assert all(size <= 4 for size in calls if size < n)
     for argv in ambiguity_run(fresh):
+        scenario_io._KEPT_SCENARIO = None
+        scenario_io._KEPT_TRAJECTORIES.clear()
         scenario_io._FORMATTED.clear()
         assert run_cli(argv) == 0
     capsys.readouterr()
@@ -820,6 +828,22 @@ def test_ambiguity_run_formats_each_array_once(tmp_path, monkeypatch, capsys):
     assert names == sorted(path.name for path in fresh.iterdir()) and len(names) == 7
     for name in names:
         assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_ambiguity_run_parses_its_scenario_once_and_no_csv(tmp_path, monkeypatch, capsys):
+    """The five commands share one scenario parse, and every CSV that ``verify``
+    reads was written in the same process, so none is parsed."""
+    parses, csv_parses = [], []
+    from_dict, loadtxt, parse_rows = (scenario_io.scenario_from_dict, np.loadtxt,
+                                      scenario_io._parse_rows)
+    monkeypatch.setattr(scenario_io, "scenario_from_dict",
+                        lambda *args: parses.append(1) or from_dict(*args))
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: csv_parses.append(1) or loadtxt(*a, **k))
+    monkeypatch.setattr(scenario_io, "_parse_rows",
+                        lambda *args: csv_parses.append(1) or parse_rows(*args))
+    assert [run_cli(argv) for argv in ambiguity_run(tmp_path)] == [0] * 5
+    capsys.readouterr()
+    assert len(parses) == 1 and csv_parses == []
 
 
 @st.composite

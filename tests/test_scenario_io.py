@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -59,6 +59,26 @@ class TestLoadScenario:
         assert target.coeffs == ((300.0, 400.0),)   # not padded to the observer's order
         assert target.effective_order() == 0
         assert np.array_equal(target.eval(7.0), [300.0, 400.0])
+
+    def test_unchanged_file_parsed_once(self, tmp_path, monkeypatch):
+        parses = []
+        from_dict = scenario_io.scenario_from_dict
+        monkeypatch.setattr(scenario_io, "scenario_from_dict",
+                            lambda *args: parses.append(1) or from_dict(*args))
+        path = write(tmp_path, MINIMAL)
+        first = load_scenario(path)
+        assert load_scenario(path) is first and len(parses) == 1
+        assert load_scenario(path, 21).grid_points == 21 and len(parses) == 2
+        assert load_scenario(path) == first and len(parses) == 3
+        write(tmp_path, dict(MINIMAL, c=1400.0))
+        assert load_scenario(path).c == 1400.0 and len(parses) == 4
+        write(tmp_path, dict(MINIMAL, c=-1.0))
+        for count in (5, 6):  # a failed load is not kept
+            with pytest.raises(ValidationError):
+                load_scenario(path)
+            assert len(parses) == count
+        write(tmp_path, MINIMAL)
+        assert load_scenario(path) == first and len(parses) == 7
 
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
@@ -149,6 +169,10 @@ class TestLoadScenario:
         pytest.param([{"coeffs": [[500, 0], [1e-10, 0]]},
                       {"coeffs": [[500, 0], [1e-10, 0]], "tonal_hz": 800.0}],
                      f"targets[1].tonal_hz: {DOPPLER}", id="only-a-target-with-a-tonal"),
+        pytest.param([{"coeffs": [[500, 0]], "tonal_hz": 800.0},
+                      {"coeffs": [[500, 0], [1e-10, 0]]},
+                      {"coeffs": [[500, 0], [1e-10, 0]], "tonal_hz": 800.0}],
+                     f"targets[2].tonal_hz: {DOPPLER}", id="second-of-two-tonals"),
         pytest.param([{"coeffs": [[0, 500], [0, 0], [1, 1]], "tonal_hz": 800.0}],
                      "targets[0]: range or range rate overflows a float on the time grid",
                      id="overflow-before-doppler-in-one-target"),
@@ -225,6 +249,19 @@ class TestValidateScenario:
         assert excinfo.value.time == 5.0
         assert str(excinfo.value) == "target 1 coincides with observer at t=5.0"
 
+    @pytest.mark.parametrize("tolerances", [Tolerances(), Tolerances(eps_range=0.0)],
+                             ids=["default", "eps-range-0"])
+    def test_meeting_named_whatever_eps_range(self, tolerances):
+        # The target passes through the observer at t = 5, where the range
+        # rate is 0/0; a file cannot set eps_range to 0, a direct build can.
+        scenario = Scenario(
+            observer=PolynomialTrajectory(0.0, ((0.0, 0.0),)),
+            targets=(TargetConfig(PolynomialTrajectory(0.0, ((-50.0, 0.0), (10.0, 0.0)))),),
+            t_start=0.0, t_end=10.0, grid_points=11, tolerances=tolerances)
+        with pytest.raises(ValidationError) as excinfo:
+            validate_scenario(scenario)
+        assert str(excinfo.value) == "targets[0]: coincides with the observer at t=5.0"
+
     def test_grid_is_uniform(self):
         scenario = Scenario(
             observer=PolynomialTrajectory(0.0, ((0.0, 0.0),)),
@@ -244,6 +281,20 @@ class TestTrajectoryCsv:
         back = read_trajectory_csv(path)
         assert np.array_equal(back.times, traj.times)
         assert np.array_equal(back.positions, traj.positions)
+
+    def test_returned_arrays_are_the_callers_own(self, tmp_path):
+        times, positions = [0.0, 0.1, 0.25], [[1.5, -2.0], [1.6, -2.1], [1.7, -2.2]]
+        traj = SampledTrajectory(times=times, positions=positions)
+        path = tmp_path / "traj.csv"
+        with open(path, "w", encoding="utf-8") as out:
+            write_trajectory_csv(traj, out)
+        traj.times[0], traj.positions[0, 0] = -1.0, 7.0  # the writer kept copies
+        for _ in range(2):  # the text the writer kept, then a parsed one
+            first = read_trajectory_csv(path)
+            first.times[0], first.positions[0, 0] = 9.0, 9.0
+            second = read_trajectory_csv(path)
+            assert second.times.tolist() == times and second.positions.tolist() == positions
+            scenario_io._KEPT_TRAJECTORIES.clear()
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -273,6 +324,7 @@ class TestTrajectoryCsv:
 def read_both(path):
     """The reader's and the per-line oracle's outcome: the arrays, or the ParseError text."""
     outcomes = []
+    scenario_io._KEPT_TRAJECTORIES.clear()  # the reader parses the file
     for read in (read_trajectory_csv, read_trajectory_csv_per_line):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -373,6 +425,7 @@ class TestTrajectoryCsvReader:
         with open(path, "w", encoding="utf-8") as out:
             write_trajectory_csv(traj, out)
         monkeypatch.setattr(scenario_io, "_parse_rows", None)  # a call would raise
+        scenario_io._KEPT_TRAJECTORIES.clear()  # parse the file, not the kept text
         back = read_trajectory_csv(path)
         assert np.array_equal(back.times, traj.times)
         assert np.array_equal(back.positions, traj.positions)
@@ -412,6 +465,50 @@ def test_reader_agrees_with_the_per_line_loop(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "candidate.csv"
     path.write_text(text, encoding="utf-8", newline="")
     assert_reads_as_oracle(path)
+
+
+# Signed zeros, subnormals, values next to the largest float, and non-finite ones.
+CSV_VALUES = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 1.7976931348623155e308, math.nan, math.inf, -math.inf])
+
+
+def read_outcome(path):
+    """The reader's arrays, or its ParseError text."""
+    try:
+        traj = read_trajectory_csv(path)
+    except ParseError as exc:
+        return str(exc)
+    return traj.times, traj.positions
+
+
+@settings(max_examples=300)
+@given(times=st.lists(CSV_VALUES.filter(lambda v: not math.isnan(v)), min_size=2, max_size=3,
+                      unique=True).map(sorted),
+       data=st.data())
+def test_kept_csv_round_trip(tmp_path_factory, times, data):
+    """A written CSV read back while the writer's entry is kept gives what a
+    fresh parse gives: the same bits in C order, or the same error."""
+    with np.errstate(over="ignore"):  # differences of the largest floats
+        assume(np.all(np.diff(times) > 0))
+        traj = SampledTrajectory(times, data.draw(hnp.arrays(np.float64, (len(times), 2),
+                                                             elements=CSV_VALUES)))
+    path = tmp_path_factory.mktemp("csv") / "trajectory.csv"
+    scenario_io._KEPT_TRAJECTORIES.clear()
+    with open(path, "w", encoding="utf-8") as out:
+        write_trajectory_csv(traj, out)
+    written_kept = path.read_text(encoding="utf-8") in scenario_io._KEPT_TRAJECTORIES
+    kept = read_outcome(path)
+    scenario_io._KEPT_TRAJECTORIES.clear()
+    fresh = read_outcome(path)
+    assert written_kept == (not isinstance(fresh, str))  # kept exactly what the reader accepts
+    if isinstance(fresh, str):
+        assert kept == fresh
+        return
+    for got, want, original in zip(kept, fresh, (traj.times, traj.positions)):
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes() == original.tobytes()
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous and want.flags.c_contiguous
 
 
 def ref(value):
