@@ -13,8 +13,8 @@ builds it once, as before. The parser is the only state this module keeps:
 ``scenario_io.load_scenario`` keeps the last scenario loaded, keyed on the
 file's text and the ``--grid-points`` override, so the commands of one run
 on one file share one parse, validation and measurement, and
-``read_trajectory_csv`` returns a CSV that ``write_trajectory_csv`` just
-wrote, or that it read last, without parsing it again.
+``read_trajectory_csv`` returns a CSV whose text is one of the last two that
+``write_trajectory_csv`` wrote or it parsed, without parsing it again.
 
 ``ambiguity generate`` samples its profiles on the whole grid at once: the
 doppler regime's rotation ``rate * (t - t0)`` and the bearing regime's scale

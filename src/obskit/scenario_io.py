@@ -35,7 +35,7 @@ from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, Callable, TextIO
 
 import numpy as np
 
@@ -274,22 +274,43 @@ def scenario_from_dict(data: dict, grid_points: int | None = None) -> Scenario:
     return scenario
 
 
-# The scenario load_scenario returned last, as ((file text, type and value of
-# grid_points), Scenario); see load_scenario.
-_KEPT_SCENARIO: tuple[tuple[str, type, int | None], Scenario] | None = None
+def _kept(entries: list, key: Any, capacity: int, make: Callable[[], Any]) -> Any:
+    """The value kept under ``key`` in ``entries``, else ``make()``'s, kept.
+
+    ``entries`` holds at most ``capacity`` (key, value) pairs, least recent
+    first, matched with ``==``. A hit moves its pair last and returns its
+    value. A miss drops the least recent pair when the list is full, then
+    keeps the result of ``make()`` last; a ``make`` that raises keeps
+    nothing. Every kept result in this module is looked up and dropped here.
+    """
+    for i, entry in enumerate(entries):
+        if entry[0] == key:
+            entries.append(entries.pop(i))
+            return entry[1]
+    if len(entries) == capacity:
+        del entries[0]
+    value = make()
+    entries.append((key, value))
+    return value
+
+
+# The scenario load_scenario returned last, keyed on (file text, type and
+# value of grid_points); see load_scenario.
+_KEPT_SCENARIO: list[tuple[tuple[str, type, int | None], Scenario]] = []
 
 
 def load_scenario(path: str | Path, grid_points: int | None = None) -> Scenario:
     """Load and validate a scenario JSON file; see ``scenario_from_dict``.
 
-    The file is read once per call. The last scenario loaded is kept with
-    the text it was parsed from and its ``grid_points``: a call that reads
-    the same text with the same override returns that same ``Scenario``
-    object, and its read-only measurement history, without parsing or
-    validating again. A load is a function of that text and override, so
-    the result is the one a fresh process gets; a pipe or FIFO is read once
-    like any file. Any other text drops the entry before it is parsed, and
-    a file that fails to load is never kept. Every caller in the process
+    The file is read once per call. The last scenario loaded is kept in
+    ``_KEPT_SCENARIO`` by ``_kept``, keyed on the text it was parsed from
+    and its ``grid_points``: a call that reads the same text with the same
+    override returns that same ``Scenario`` object, and its read-only
+    measurement history, without parsing or validating again. A load is a
+    function of that text and override, so the result is the one a fresh
+    process gets; a pipe or FIFO is read once like any file. Any other text
+    drops the entry before it is parsed, and a file that fails to load is
+    never kept. Every caller in the process
     shares the entry. With M targets and N grid points the history takes at
     most 16·M·N bytes plus 8·N for the times, and the sort of its bearings
     that the pair diagnostics keep adds 16·M·N; the entry holds them until
@@ -300,24 +321,21 @@ def load_scenario(path: str | Path, grid_points: int | None = None) -> Scenario:
             too deeply nested JSON.
         ValidationError: Schema or invariant violation, with the field path.
     """
-    global _KEPT_SCENARIO
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
-    key = (text, type(grid_points), grid_points)
-    if _KEPT_SCENARIO is not None and _KEPT_SCENARIO[0] == key:
-        return _KEPT_SCENARIO[1]
-    _KEPT_SCENARIO = None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON in {path}: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError(f"malformed JSON in {path}: nested too deeply") from exc
-    scenario = scenario_from_dict(data, grid_points)
-    _KEPT_SCENARIO = (key, scenario)
-    return scenario
+
+    def parse() -> Scenario:
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed JSON in {path}: {exc}") from exc
+        except RecursionError as exc:
+            raise ParseError(f"malformed JSON in {path}: nested too deeply") from exc
+        return scenario_from_dict(data, grid_points)
+
+    return _kept(_KEPT_SCENARIO, (text, type(grid_points), grid_points), 1, parse)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -409,41 +427,29 @@ class FloatTexts:
         self.texts, self.width, self.finite = texts, width, finite
 
 
-def _keep_last(entries: dict, key: Any, value: Any, capacity: int) -> None:
-    """Put ``key`` last in ``entries`` (least recent first), dropping the
-    least recent entry when a new key would exceed ``capacity``."""
-    if entries.pop(key, None) is None and len(entries) == capacity:
-        del entries[next(iter(entries))]
-    entries[key] = value
-
-
-# The FloatTexts of the arrays _format_array formatted last, least recent first.
-_FORMATTED: dict[tuple[str, tuple[int, ...], bytes], FloatTexts] = {}
+# The FloatTexts of the arrays _format_array formatted last, least recent
+# first, keyed on each array's dtype, shape and bytes.
+_FORMATTED: list[tuple[tuple[str, tuple[int, ...], bytes], FloatTexts]] = []
 
 
 def _format_array(values: np.ndarray) -> FloatTexts:
     """The texts of a 1-D float array (a list) or of a 2-D one (a matrix).
 
     The texts of the three arrays formatted most recently are kept in
-    ``_FORMATTED``, keyed on each array's dtype, shape and bytes: a hit
-    moves its entry to the end, and a miss drops the oldest. A float's repr
-    depends only on its bits, so an entry never goes stale. ``-0.0`` and
-    ``0.0`` differ in their bytes, and an ``(N, 2)`` array and a ``(2N,)``
-    one differ in shape, so each has its own entry. At N grid points an
-    ``ambiguity`` run formats 5N distinct values: the grid and two
-    counterparts, each written by ``generate`` and read back unchanged by
-    ``verify``. The three entries keep 80-84 bytes per value (texts and
-    key): ≈0.4 MB at N=1001 and ≈4 MB at N=10001. The returned object
-    is shared with later callers, so no caller may change it.
+    ``_FORMATTED`` by ``_kept``, keyed on each array's dtype, shape and
+    bytes. A float's repr depends only on its bits, so an entry never goes
+    stale. ``-0.0`` and ``0.0`` differ in their bytes, and an
+    ``(N, 2)`` array and a ``(2N,)`` one differ in shape, so each has its
+    own entry. At N grid points an ``ambiguity`` run formats 5N distinct
+    values: the grid and two counterparts, each written by ``generate`` and
+    read back unchanged by ``verify``. The three entries keep 80-84 bytes
+    per value (texts and key): ≈0.4 MB at N=1001 and ≈4 MB at N=10001. The
+    returned object is shared with later callers, so no caller may change it.
     """
-    key = (values.dtype.str, values.shape, values.tobytes())
-    floats = _FORMATTED.get(key)
-    if floats is None:
-        floats = FloatTexts(_reprs(values.ravel().tolist()),
-                            values.shape[1] if values.ndim == 2 else None,
-                            bool(np.isfinite(values).all()))
-    _keep_last(_FORMATTED, key, floats, 3)
-    return floats
+    return _kept(_FORMATTED, (values.dtype.str, values.shape, values.tobytes()), 3,
+                 lambda: FloatTexts(_reprs(values.ravel().tolist()),
+                                    values.shape[1] if values.ndim == 2 else None,
+                                    bool(np.isfinite(values).all())))
 
 
 def sampled_texts(traj: SampledTrajectory) -> dict:
@@ -568,8 +574,9 @@ def write_trajectory_csv(traj: SampledTrajectory, out: TextIO) -> None:
     positions, each value's ``repr`` (``nan`` and ``inf`` included), in one
     write. When ``read_trajectory_csv`` would accept the text (at least 3
     rows, every value finite; the times already increase strictly), the
-    text is kept with copies of the arrays, as a parse of it is: a ``repr``
-    parses back to the same bits, so reading the file back parses nothing.
+    text is kept with copies of the arrays among that reader's two entries,
+    as a parse of it is: a ``repr`` parses back to the same bits, so
+    reading the file back parses nothing.
     """
     times, xy = _format_array(traj.times), _format_array(traj.positions)
     rows = len(times.texts)
@@ -578,7 +585,7 @@ def write_trajectory_csv(traj: SampledTrajectory, out: TextIO) -> None:
     text = "t,x_m,y_m\n" + "%s,%s,%s\n" * rows % tuple(cells)
     out.write(text)
     if rows >= 3 and times.finite and xy.finite:
-        _keep_last(_KEPT_TRAJECTORIES, text, (traj.times.copy(), traj.positions.copy()), 2)
+        _kept(_KEPT_TRAJECTORIES, text, 2, lambda: (traj.times.copy(), traj.positions.copy()))
 
 
 def _parse_rows(path: str | Path, rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -602,29 +609,23 @@ def _parse_rows(path: str | Path, rows: list[str]) -> tuple[np.ndarray, np.ndarr
 
 # The trajectory CSV texts read_trajectory_csv parsed or write_trajectory_csv
 # wrote last, least recent first, each with its times and positions.
-_KEPT_TRAJECTORIES: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+_KEPT_TRAJECTORIES: list[tuple[str, tuple[np.ndarray, np.ndarray]]] = []
 
 
 def read_trajectory_csv(path: str | Path) -> SampledTrajectory:
     """Read a t,x_m,y_m CSV back into a SampledTrajectory.
 
-    The file is read once per call. If its text is one of the two kept
-    trajectory texts (the ones this function parsed or
-    ``write_trajectory_csv`` wrote last), the result is built from copies of
-    that text's kept arrays without parsing: a parse is a function of the
-    text, so the values are the bits a fresh parse gives. The returned
-    arrays are the caller's own, writeable and never shared, and a text
-    that fails to parse is never kept. Each entry holds its text and its
-    arrays, ≈69 bytes a row for an ``ambiguity generate`` counterpart: the
-    two take ≈140 KB at N=1001 rows and ≈1.4 MB at N=10001.
-
-    Otherwise the data rows go through numpy's C reader (``np.loadtxt``) in
-    one call, which parses each field with the same C routine as
-    ``float()``. Its result is used only when it holds one row of three
-    values per line. Any other file goes through ``_parse_rows``, which
-    names the first bad line or reads what only ``float()`` reads (``1_0``,
-    non-ASCII digits), so the accepted files, the values and the errors are
-    those of ``_parse_rows`` alone.
+    The file is read once per call, and its data rows are parsed line by
+    line with ``float()`` (``_parse_rows``), which names the first bad line.
+    The text and the arrays of the last two texts this function parsed or
+    ``write_trajectory_csv`` wrote are kept: if the file's text is one of
+    those two, the result is built from copies of its kept arrays without
+    parsing. A parse is a function of the text, so the values are the bits
+    a fresh parse gives. The returned arrays are the caller's own, writeable
+    and never shared, and a text that fails to parse is never kept. Each
+    entry holds its text and its arrays, ≈69 bytes a row for an
+    ``ambiguity generate`` counterpart: the two take ≈140 KB at N=1001 rows
+    and ≈1.4 MB at N=10001.
 
     Raises:
         ParseError: Unreadable or non-UTF-8 file, bad header, non-numeric or
@@ -635,33 +636,20 @@ def read_trajectory_csv(path: str | Path) -> SampledTrajectory:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read trajectory file {path}: {exc}") from exc
-    kept = _KEPT_TRAJECTORIES.get(text)
-    if kept is not None:
-        _keep_last(_KEPT_TRAJECTORIES, text, kept, 2)
-        return SampledTrajectory(times=kept[0].copy(), positions=kept[1].copy())
-    lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != "t,x_m,y_m":
-        raise ParseError(f"{path}: expected header 't,x_m,y_m'")
-    rows = lines[1:]
-    table = None
-    # loadtxt warns on a file without data rows. It also strips the unit
-    # separator U+001F around a field as whitespace, which float() rejects.
-    if rows and "\x1f" not in text:
-        try:
-            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
-    # loadtxt skips blank lines, so only a full count means every line parsed.
-    if table is not None and table.shape == (len(rows), 3):
-        times, positions = table[:, 0].copy(), table[:, 1:].copy()
-    else:
-        times, positions = _parse_rows(path, rows)
-    finite = np.isfinite(times) & np.isfinite(positions).all(axis=-1)
-    if not finite.all():
-        raise ParseError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite value")
-    if len(times) < 3:
-        raise ParseError(f"{path}: need at least 3 rows, got {len(times)}")
-    if not np.all(np.diff(times) > 0):
-        raise ParseError(f"{path}: times must be strictly increasing")
-    _keep_last(_KEPT_TRAJECTORIES, text, (times.copy(), positions.copy()), 2)
-    return SampledTrajectory(times=times, positions=positions)
+
+    def parse() -> tuple[np.ndarray, np.ndarray]:
+        lines = text.strip().splitlines()
+        if not lines or lines[0].strip() != "t,x_m,y_m":
+            raise ParseError(f"{path}: expected header 't,x_m,y_m'")
+        times, positions = _parse_rows(path, lines[1:])
+        finite = np.isfinite(times) & np.isfinite(positions).all(axis=-1)
+        if not finite.all():
+            raise ParseError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite value")
+        if len(times) < 3:
+            raise ParseError(f"{path}: need at least 3 rows, got {len(times)}")
+        if not np.all(np.diff(times) > 0):
+            raise ParseError(f"{path}: times must be strictly increasing")
+        return times, positions
+
+    times, positions = _kept(_KEPT_TRAJECTORIES, text, 2, parse)
+    return SampledTrajectory(times=times.copy(), positions=positions.copy())

@@ -22,10 +22,17 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "obskit"))
 
 
+def forget_kept():
+    """Empty the lists of results ``scenario_io`` keeps, so the next command
+    loads and parses its files and formats its arrays afresh."""
+    for entries in (scenario_io._KEPT_SCENARIO, scenario_io._KEPT_TRAJECTORIES,
+                    scenario_io._FORMATTED):
+        entries.clear()
+
+
 @pytest.fixture(autouse=True)
-def fresh_loaded_scenario(monkeypatch):
-    """Each test starts with no scenario or trajectory CSV kept by
-    ``scenario_io`` and no texts kept by ``scenario_io._format_array``."""
-    monkeypatch.setattr(scenario_io, "_KEPT_SCENARIO", None)
-    monkeypatch.setattr(scenario_io, "_KEPT_TRAJECTORIES", {})
-    monkeypatch.setattr(scenario_io, "_FORMATTED", {})
+def nothing_kept():
+    """Each test starts, and leaves the process, with nothing kept by ``scenario_io``."""
+    forget_kept()
+    yield
+    forget_kept()

@@ -14,7 +14,6 @@ from obskit import (PolynomialTrajectory, Scenario, TargetConfig, Tolerances,
                     generate_bearing_ambiguous, generate_doppler_ambiguous,
                     measure_scenario, state_from_trajectory, verify_ambiguity)
 from obskit.ambiguity import AMBIGUOUS, COMBINED, DopplerAmbiguitySpec
-from obskit import scenario_io
 from obskit.cli import run_cli
 from obskit.estimator import DEGENERATE, UNIQUE, split_state
 from obskit.observability import OBSERVABLE, UNOBSERVABLE
@@ -23,6 +22,7 @@ from obskit.selftest import (random_alpha, random_doppler_spec, random_observer,
                              random_scenario, stacked_rank_observable,
                              transition_suite)
 
+from conftest import forget_kept
 from oracles import pseudo_row, transition_matrix
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -351,13 +351,6 @@ def test_criterion_10_brute_force_rank_oracle():
     report(10, f"gramian vs stacked-matrix rank: {agreements}/200 agree")
 
 
-def start_afresh():
-    """The next command loads and parses its files and formats its arrays afresh."""
-    scenario_io._KEPT_SCENARIO = None
-    scenario_io._KEPT_TRAJECTORIES.clear()
-    scenario_io._FORMATTED.clear()
-
-
 def test_criterion_11_cli_end_to_end_determinism(tmp_path, capsys):
     observable = SCENARIOS / "two_target_observable.json"
     collinear = SCENARIOS / "collinear_unobservable.json"
@@ -379,7 +372,7 @@ def test_criterion_11_cli_end_to_end_determinism(tmp_path, capsys):
         files = []
         for attempt in ("a", "b"):
             out = tmp_path / f"{name}-{attempt}.out"
-            start_afresh()
+            forget_kept()
             assert run_cli(argv + [str(out)]) == 0
             files.append(out.read_bytes())
         assert files[0] == files[1], name
@@ -389,7 +382,7 @@ def test_criterion_11_cli_end_to_end_determinism(tmp_path, capsys):
     certs, trajs = [], []
     for attempt in ("a", "b"):
         prefix = tmp_path / f"pair-{attempt}"
-        start_afresh()
+        forget_kept()
         assert run_cli(["ambiguity", "generate", str(doppler_base),
                         "--regime", "doppler", "-o", str(prefix),
                         "--l-prime", "1.02", "--b-prime", "400.0"]) == 0
@@ -400,7 +393,7 @@ def test_criterion_11_cli_end_to_end_determinism(tmp_path, capsys):
     verify_files = []
     for attempt in ("a", "b"):
         out = tmp_path / f"verify-{attempt}.json"
-        start_afresh()
+        forget_kept()
         assert run_cli(["ambiguity", "verify", str(doppler_base),
                         str(tmp_path / "pair-a_trajectory.csv"),
                         "--regime", "doppler",

@@ -23,6 +23,8 @@ from obskit.errors import ObskitError, ValidationError
 from obskit.measurement import Tonal, measure_scenario
 from obskit.scenario_io import TargetConfig, dumps_json, save_scenario, write_trajectory_csv
 
+from conftest import forget_kept
+
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 OBSERVABLE = SCENARIOS / "two_target_observable.json"
@@ -241,7 +243,7 @@ class TestLoadedScenarioReuse:
             assert self.outcome(capsys, argv)[0] == 0
         observable, collinear = (json.loads(path.read_text()) for path in (OBSERVABLE, COLLINEAR))
         assert loads == [observable, collinear, observable]
-        assert scenario_io._KEPT_SCENARIO[0][0] == OBSERVABLE.read_text()  # one entry, the last
+        assert scenario_io._KEPT_SCENARIO[0][0][0] == OBSERVABLE.read_text()  # one entry, the last
 
     def test_same_length_rewrite_is_reloaded(self, tmp_path, loads, capsys):
         path = tmp_path / "scenario.json"
@@ -256,7 +258,7 @@ class TestLoadedScenarioReuse:
         after = self.outcome(capsys, ["observability", path])
         assert len(loads) == 2
         assert before[0] == after[0] == 0 and before[1] != after[1]
-        scenario_io._KEPT_SCENARIO = None
+        forget_kept()
         assert self.outcome(capsys, ["observability", path]) == after
 
     def test_other_grid_override_is_reloaded(self, loads, capsys):
@@ -276,7 +278,7 @@ class TestLoadedScenarioReuse:
         for _ in range(2):  # errors are not kept
             code, _, err = self.outcome(capsys, ["observability", path])
             assert code == 1 and err.startswith("error: c: must be > 0")
-            assert scenario_io._KEPT_SCENARIO is None
+            assert scenario_io._KEPT_SCENARIO == []
         path.write_text(json.dumps(data))
         assert self.outcome(capsys, ["observability", path])[0] == 0
         assert len(loads) == 3
@@ -284,7 +286,7 @@ class TestLoadedScenarioReuse:
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_pipe_is_read_once(self, loads, capsys):
         expected = self.outcome(capsys, ["estimate", OBSERVABLE])
-        scenario_io._KEPT_SCENARIO = None  # nothing kept to match the pipe's text
+        forget_kept()  # nothing kept to match the pipe's text
         read, write = os.pipe()
         try:
             os.write(write, OBSERVABLE.read_bytes())
@@ -299,7 +301,7 @@ class TestLoadedScenarioReuse:
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_fifo_is_read_once(self, tmp_path, loads, capsys):
         expected = self.outcome(capsys, ["estimate", OBSERVABLE])
-        scenario_io._KEPT_SCENARIO = None
+        forget_kept()
         fifo = tmp_path / "scenario.fifo"
         os.mkfifo(fifo)
         result = []
@@ -623,8 +625,7 @@ class TestDeterminism:
     def test_observability_reports_are_byte_identical(self, tmp_path, scenario, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run_cli(["observability", str(scenario), "-o", str(a)]) == 0
-        scenario_io._KEPT_SCENARIO = None  # the second run loads the file afresh,
-        scenario_io._FORMATTED.clear()  # and formats its arrays afresh
+        forget_kept()  # the second run loads the file and formats its arrays afresh
         assert run_cli(["observability", str(scenario), "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         capsys.readouterr()
@@ -665,7 +666,7 @@ def test_shared_parser_carries_no_state_between_commands(monkeypatch, capsys):
     fresh = []
     for argv in sequence:
         monkeypatch.setattr(cli, "_PARSER", None)
-        monkeypatch.setattr(scenario_io, "_KEPT_SCENARIO", None)
+        forget_kept()
         fresh.append(outcome(argv))
     monkeypatch.setattr(cli, "_PARSER", None)
     calls = _counting_build_parser(monkeypatch)
@@ -819,9 +820,7 @@ def test_ambiguity_run_formats_each_array_once(tmp_path, monkeypatch, capsys):
     assert [size for size in calls if size >= n] == [n, 2 * n, 2 * n]
     assert all(size <= 4 for size in calls if size < n)
     for argv in ambiguity_run(fresh):
-        scenario_io._KEPT_SCENARIO = None
-        scenario_io._KEPT_TRAJECTORIES.clear()
-        scenario_io._FORMATTED.clear()
+        forget_kept()
         assert run_cli(argv) == 0
     capsys.readouterr()
     names = sorted(path.name for path in shared.iterdir())
@@ -834,11 +833,9 @@ def test_ambiguity_run_parses_its_scenario_once_and_no_csv(tmp_path, monkeypatch
     """The five commands share one scenario parse, and every CSV that ``verify``
     reads was written in the same process, so none is parsed."""
     parses, csv_parses = [], []
-    from_dict, loadtxt, parse_rows = (scenario_io.scenario_from_dict, np.loadtxt,
-                                      scenario_io._parse_rows)
+    from_dict, parse_rows = scenario_io.scenario_from_dict, scenario_io._parse_rows
     monkeypatch.setattr(scenario_io, "scenario_from_dict",
                         lambda *args: parses.append(1) or from_dict(*args))
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: csv_parses.append(1) or loadtxt(*a, **k))
     monkeypatch.setattr(scenario_io, "_parse_rows",
                         lambda *args: csv_parses.append(1) or parse_rows(*args))
     assert [run_cli(argv) for argv in ambiguity_run(tmp_path)] == [0] * 5

@@ -23,6 +23,7 @@ from obskit.scenario_io import (Scenario, TargetConfig, Tolerances, dumps_json,
                                 validate_scenario, write_trajectory_csv)
 from obskit.selftest import collinear_scenario, random_observer
 from obskit.trajectory import PolynomialTrajectory, SampledTrajectory
+from conftest import forget_kept
 from oracles import read_trajectory_csv_per_line
 
 MINIMAL = {
@@ -294,7 +295,7 @@ class TestTrajectoryCsv:
             first.times[0], first.positions[0, 0] = 9.0, 9.0
             second = read_trajectory_csv(path)
             assert second.times.tolist() == times and second.positions.tolist() == positions
-            scenario_io._KEPT_TRAJECTORIES.clear()
+            forget_kept()
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -324,7 +325,7 @@ class TestTrajectoryCsv:
 def read_both(path):
     """The reader's and the per-line oracle's outcome: the arrays, or the ParseError text."""
     outcomes = []
-    scenario_io._KEPT_TRAJECTORIES.clear()  # the reader parses the file
+    forget_kept()  # the reader parses the file
     for read in (read_trajectory_csv, read_trajectory_csv_per_line):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -352,7 +353,7 @@ ROWS = ["0.0,500.0,500.0", "1.0,510.0,-500.0", "2.0,520.0,500.0"]
 
 
 class TestTrajectoryCsvReader:
-    """The C-reader fast path accepts, reads and rejects exactly as the per-line loop."""
+    """The reader accepts, reads and rejects exactly as the per-line oracle."""
 
     @pytest.mark.parametrize("body", [
         "\n".join(ROWS),
@@ -416,19 +417,6 @@ class TestTrajectoryCsvReader:
         path = tmp_path / "candidate.csv"
         path.write_text("t,x_m,y_m\n" + body + "\n", encoding="utf-8", newline="")
         assert assert_reads_as_oracle(path) == f"{path}{message}"
-
-    def test_written_file_takes_the_c_reader(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(3)
-        traj = SampledTrajectory(times=np.cumsum(rng.uniform(0.01, 1.0, 1001)),
-                                 positions=rng.normal(0.0, 1e3, (1001, 2)))
-        path = tmp_path / "candidate.csv"
-        with open(path, "w", encoding="utf-8") as out:
-            write_trajectory_csv(traj, out)
-        monkeypatch.setattr(scenario_io, "_parse_rows", None)  # a call would raise
-        scenario_io._KEPT_TRAJECTORIES.clear()  # parse the file, not the kept text
-        back = read_trajectory_csv(path)
-        assert np.array_equal(back.times, traj.times)
-        assert np.array_equal(back.positions, traj.positions)
 
 
 # Fields: repr'd floats (finite and not), the forms only one parser might read,
@@ -494,12 +482,13 @@ def test_kept_csv_round_trip(tmp_path_factory, times, data):
         traj = SampledTrajectory(times, data.draw(hnp.arrays(np.float64, (len(times), 2),
                                                              elements=CSV_VALUES)))
     path = tmp_path_factory.mktemp("csv") / "trajectory.csv"
-    scenario_io._KEPT_TRAJECTORIES.clear()
+    forget_kept()
     with open(path, "w", encoding="utf-8") as out:
         write_trajectory_csv(traj, out)
-    written_kept = path.read_text(encoding="utf-8") in scenario_io._KEPT_TRAJECTORIES
+    written_kept = path.read_text(encoding="utf-8") in [
+        text for text, _ in scenario_io._KEPT_TRAJECTORIES]
     kept = read_outcome(path)
-    scenario_io._KEPT_TRAJECTORIES.clear()
+    forget_kept()
     fresh = read_outcome(path)
     assert written_kept == (not isinstance(fresh, str))  # kept exactly what the reader accepts
     if isinstance(fresh, str):
@@ -566,7 +555,7 @@ def assert_shared_texts_write_the_floats(traj: SampledTrajectory):
     out = io.StringIO()
     write_trajectory_csv(traj, out)
     assert out.getvalue() == csv_reference(traj)
-    written = list(scenario_io._FORMATTED.values())[-2:]  # the CSV's times, positions
+    written = [floats for _, floats in scenario_io._FORMATTED[-2:]]  # the CSV's times, positions
     texts = sampled_texts(traj)
     assert texts["times"] is written[0] is scenario_io._format_array(traj.times)
     assert texts["positions"] is written[1] is scenario_io._format_array(traj.positions)
@@ -654,9 +643,49 @@ class TestFormattedMemo:
         for values in (a, b, c, a, d):  # the hit on a leaves b the oldest
             floats = scenario_io._format_array(values)
             assert len(scenario_io._FORMATTED) <= 3
-        kept = [texts.texts[0] for texts in scenario_io._FORMATTED.values()]
+        kept = [texts.texts[0] for _, texts in scenario_io._FORMATTED]
         assert kept == ["2.0", "0.0", "3.0"]
         assert scenario_io._format_array(d) is floats  # a hit returns the kept object
+
+
+class MakeFailed(Exception):
+    pass
+
+
+@settings(max_examples=300)
+@given(capacity=st.integers(1, 3),
+       calls=st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=40))
+def test_kept_follows_the_reference_list(capacity, calls):
+    """``_kept`` against a reference list of (key, value) pairs, least recent
+    first: a hit returns the kept value and moves its pair last; a miss drops
+    the least recent pair when the list is full, then keeps what ``make``
+    returns, or nothing when ``make`` raises."""
+    entries, reference = [], []
+    for key, raises in calls:
+        made = []
+
+        def make():
+            made.append(object())
+            if raises:
+                raise MakeFailed
+            return made[-1]
+
+        kept = [value for k, value in reference if k == key]
+        if kept:
+            assert scenario_io._kept(entries, key, capacity, make) is kept[0]
+            reference.remove((key, kept[0]))
+            reference.append((key, kept[0]))
+        else:
+            if len(reference) == capacity:
+                del reference[0]
+            if raises:
+                with pytest.raises(MakeFailed):
+                    scenario_io._kept(entries, key, capacity, make)
+            else:
+                assert scenario_io._kept(entries, key, capacity, make) is made[0]
+                reference.append((key, made[0]))
+        assert len(made) == (0 if kept else 1)
+        assert entries == reference and len(entries) <= capacity
 
 
 def test_report_keys_follow_field_order():
