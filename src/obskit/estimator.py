@@ -145,6 +145,10 @@ def cross_validate(scenario: Scenario, result: EstimateResult,
     to probe invisible (null-space) directions. The truth is the scenario's
     own history (``measure_scenario``), the one the estimate came from when
     it was measured from the same scenario object.
+
+    Raises:
+        ValidationError: As ``measure_scenario``, for an invalid scenario.
+        ZeroRange: If a replayed trajectory meets the observer.
     """
     if state is None:
         state = result.x_initial_hat

@@ -4,8 +4,8 @@ Bearing convention: angle from the +y axis toward +x (tan theta = x/y),
 resolved over the full circle with atan2(x, y) and wrapped to (-pi, pi].
 Doppler uses the one-way narrowband model f0 * (1 - range_rate / c).
 A scenario has one measurement history (``measure_scenario``), built by
-the pass that validated it and kept on the scenario, so every analysis of
-one loaded scenario reads the same read-only arrays.
+the pass that validates it and kept on the scenario, so every analysis of
+one scenario reads the same read-only arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ZeroRange
-from .trajectory import RelativeState, relative_states
+from .trajectory import RelativeState
 
 if TYPE_CHECKING:
     from .scenario_io import Scenario
@@ -180,29 +180,19 @@ def measure_scenario(scenario: "Scenario") -> MeasurementHistory:
     """The scenario's bearings (and Doppler where a tonal exists) over its grid.
 
     One history per Scenario object, with read-only arrays, so every later
-    call returns the same object. ``scenario_io.validate_scenario`` builds
-    it from the kinematics pass and the Doppler series it checked, so a
-    loaded scenario's kinematics and Doppler are evaluated once. A scenario
-    that was never validated gets its own ``relative_states`` pass on the
-    first call, with the scenario's range floor and under the caller's
-    ``np.errstate``.
+    call returns the same object. Its one builder is
+    ``scenario_io.validate_scenario``, from the kinematics pass and the
+    Doppler series it checked; a scenario never validated, such as one built
+    in code, is validated on the first call.
 
     Raises:
-        ZeroRange: With the offending target index and first offending time
-            if any target meets the observer.
+        ValidationError: The file loader's, naming the field, for a scenario
+            never validated that breaks an invariant; nothing is kept.
     """
-    if "_history" in vars(scenario):  # outside the dataclass fields; see ``Scenario``
-        return vars(scenario)["_history"]
-    times = scenario.grid()
-    try:
-        rel = relative_states(scenario.target_trajectories(), scenario.observer, times,
-                              scenario.tolerances.eps_range)
-    except ZeroRange as exc:
-        raise ZeroRange(
-            f"target {exc.target_index} coincides with observer at t={exc.time}",
-            target_index=exc.target_index, time=exc.time,
-        ) from exc
-    return keep_history(scenario, times, rel, received_frequencies(scenario, rel))
+    if "_history" not in vars(scenario):  # outside the dataclass fields; see ``Scenario``
+        from .scenario_io import validate_scenario  # scenario_io imports this module
+        validate_scenario(scenario)
+    return vars(scenario)["_history"]
 
 
 def angular_difference(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:

@@ -389,7 +389,11 @@ def detect_collinearity(
 
 
 def check_observable(scenario: Scenario, rank_tol: float | None = None) -> ObservabilityReport:
-    """Full observability report: Gramian spectrum plus geometric diagnostics."""
+    """Full observability report: Gramian spectrum plus geometric diagnostics.
+
+    Raises:
+        ValidationError: As ``measure_scenario``, for an invalid scenario.
+    """
     if rank_tol is None:
         rank_tol = scenario.tolerances.rank_tol
     orders = scenario.effective_orders()

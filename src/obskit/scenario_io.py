@@ -13,9 +13,9 @@ Scenario JSON schema (all angles radians, frequencies Hz, lengths meters):
 
 ``c`` and ``tolerances`` are optional. Trajectory coefficients are Taylor
 coefficients about ``time.start`` (coeffs[k] multiplies (t - start)^k).
-Each trajectory is loaded as written; analyses take a target's order from
-its last nonzero coefficient pair (``Scenario.effective_orders``), so
-trailing zero pairs change no output. ``time.points`` is at most
+Each trajectory is loaded as written; analyses and the trajectory kernels
+stop at its last nonzero coefficient pair (``Scenario.effective_orders``),
+so trailing zero pairs change no analysis. ``time.points`` is at most
 ``MAX_GRID_POINTS``, and every target must stay at least ``eps_range`` from
 the observer, with finite range and range rate, on the grid; a target with
 a tonal must also have a finite Doppler shift there.
@@ -78,8 +78,8 @@ class Scenario:
 
     A Scenario object also keeps its one ``MeasurementHistory`` outside its
     fields, so equality, hashing, ``repr`` and ``dataclasses.replace``
-    ignore it. A successful ``validate_scenario`` builds it; otherwise
-    ``measurement.measure_scenario`` does, on first use.
+    ignore it. Only a successful ``validate_scenario`` builds it: at load, or
+    in ``measurement.measure_scenario`` for a scenario built in code.
     """
 
     observer: PolynomialTrajectory
@@ -138,8 +138,8 @@ def validate_scenario(scenario: Scenario, points_field: str = "time.points") -> 
     Doppler shift, if it has a tonal, overflows; a target with several
     faults is reported for the first of them in that order. A scenario
     that passes keeps the bearings of that pass and the Doppler series it
-    checked as its one ``MeasurementHistory``, which
-    ``measurement.measure_scenario`` returns.
+    checked as its one ``MeasurementHistory`` (this is its only builder),
+    which ``measurement.measure_scenario`` returns.
     """
     _check_fields(scenario, points_field)
     times = scenario.grid()

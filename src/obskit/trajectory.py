@@ -60,9 +60,9 @@ class PolynomialTrajectory:
 
         Returns sum_{k>=d} a_k * k!/(k-d)! * (t - ref_time)^(k-d), shape (2,)
         for a scalar time and (N, 2) for N times; zero when derivative_order
-        exceeds the polynomial order. Powers come from repeated
+        exceeds the effective order. Powers come from repeated
         multiplication, which rounds identically for scalars and arrays, and
-        stop at the last one a term uses.
+        stop at the last nonzero term's, so trailing zero pairs change nothing.
         """
         if derivative_order < 0:
             raise ValueError(f"derivative_order must be >= 0, got {derivative_order}")
@@ -71,7 +71,7 @@ class PolynomialTrajectory:
         coeffs = np.array(self.coeffs).T.reshape((2, -1) + (1,) * dt.ndim)
         out = np.zeros((2,) + dt.shape)
         power = np.ones_like(dt)
-        for k in range(derivative_order, len(self.coeffs)):
+        for k in range(derivative_order, self.effective_order() + 1):
             if k > derivative_order:  # no power past the last term's, which could overflow
                 power = power * dt
             scale = factorial(k) // factorial(k - derivative_order)
@@ -156,10 +156,10 @@ def relative_states(
     are (M, 2) or (M, N, 2), range and range_rate (M,) or (M, N). Row i is
     ``target.eval(t, 0) - observer.eval(t, 0)`` (and likewise for the first
     derivative) with the powers of ``eval``: rows are processed in order of
-    decreasing polynomial order, and the term k loop covers only the rows
-    whose order reaches k, so no row forms a power that none of its terms
-    uses (such a power could overflow on a long window). Range and range
-    rate are written out per component rather than through
+    decreasing effective order, and the term k loop covers only the rows whose
+    order reaches k, so no row forms a power that none of its nonzero terms
+    uses (it could overflow on a long window, and inf * 0 is nan). Range and
+    range rate are written out per component rather than through
     ``np.linalg.norm`` or ``@``, so both forms round identically.
 
     Raises:
@@ -170,14 +170,14 @@ def relative_states(
     times = np.asarray(t, dtype=float)
     # The observer is evaluated as the last row of the same stack.
     stack = (*trajectories, observer)
-    orders = [traj.order for traj in stack]
+    orders = [traj.effective_order() for traj in stack]
     top = max(orders)
     rows = sorted(range(len(stack)), key=lambda i: -orders[i])
     # Work arrays put the x/y axis first, so every operation runs along the times.
-    # Coefficients are zero-padded to one column past the top order, so that
-    # term k + 1 can be sliced at every k, and read in one flat pass.
-    padded = chain.from_iterable(stack[i].coeffs + ((0.0, 0.0),) * (top + 1 - orders[i])
-                                 for i in rows)
+    # Coefficients, cut at the effective order, are zero-padded to one column past
+    # the top order (term k + 1 is sliced at every k) and read in one flat pass.
+    padded = chain.from_iterable(
+        stack[i].coeffs[:orders[i] + 1] + ((0.0, 0.0),) * (top + 1 - orders[i]) for i in rows)
     coeffs = np.fromiter(chain.from_iterable(padded), float, 2 * (top + 2) * len(rows))
     coeffs = coeffs.reshape(len(rows), top + 2, 2).T.reshape(
         (2, top + 2, len(rows)) + (1,) * times.ndim)

@@ -6,6 +6,7 @@ is the row of ``measurement.design_matrix`` at (theta, t).
 ``polynomial_eval`` is ``PolynomialTrajectory.eval`` with the time axis
 first, one ``np.multiply.outer`` per term. ``read_trajectory_csv_per_line``
 reads a trajectory CSV with one ``float()`` per field, line by line.
+``scenario_built_in_code`` builds a file's ``Scenario`` without the loader.
 ``per_target_factors`` splits ``observability.Gramian``'s per-order stacks
 into one (s, vt, c, rho) per target; ``blocks_per_target``,
 ``singular_values_per_target``, ``null_space_per_target`` and
@@ -19,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from obskit.errors import ParseError
-from obskit.trajectory import SampledTrajectory
+from obskit.measurement import DEFAULT_SOUND_SPEED, Tonal
+from obskit.scenario_io import Scenario, TargetConfig, Tolerances
+from obskit.trajectory import PolynomialTrajectory, SampledTrajectory
 
 
 def transition_matrix(p: int, t: float, t_i: float) -> np.ndarray:
@@ -65,6 +68,24 @@ def polynomial_eval(traj, t, derivative_order: int = 0) -> np.ndarray:
         out += np.multiply.outer(scale * power, traj.coeffs[k])
         power = power * dt
     return out
+
+
+def scenario_built_in_code(data: dict) -> Scenario:
+    """The ``Scenario`` of a scenario file's parsed JSON, built from its fields
+    in code and never validated: for data that ``scenario_io.scenario_from_dict``
+    accepts, an equal object; for any other data, the same fields unchecked."""
+    time = data["time"]
+
+    def trajectory(block):
+        return PolynomialTrajectory(time["start"], tuple(map(tuple, block["coeffs"])))
+
+    return Scenario(
+        observer=trajectory(data["observer"]),
+        targets=tuple(TargetConfig(trajectory(target), None if target.get("tonal_hz") is None
+                                   else Tonal(target["tonal_hz"]))
+                      for target in data["targets"]),
+        t_start=time["start"], t_end=time["end"], grid_points=time["points"],
+        c=data.get("c", DEFAULT_SOUND_SPEED), tolerances=Tolerances(**data.get("tolerances", {})))
 
 
 def read_trajectory_csv_per_line(path) -> SampledTrajectory:

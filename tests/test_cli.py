@@ -20,10 +20,12 @@ from obskit.ambiguity import (DopplerAmbiguitySpec, _profile_values, generate_be
                               generate_doppler_ambiguous)
 from obskit.cli import run_cli
 from obskit.errors import ObskitError, ValidationError
-from obskit.measurement import Tonal, measure_scenario
+from obskit.measurement import Tonal, bearing, doppler, measure_scenario
 from obskit.scenario_io import TargetConfig, dumps_json, save_scenario, write_trajectory_csv
+from obskit.trajectory import relative_states
 
 from conftest import forget_kept
+from oracles import scenario_built_in_code
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -199,10 +201,30 @@ class TestKinematicsPasses:
         path.write_text(json.dumps(self.UNUSED_POWER))
         assert run_cli(["simulate", str(path)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 11
-        # A scenario never validated is measured by the same kernel, so it agrees.
+        # A scenario never validated is validated on its first measurement, by the
+        # same kernel, so it agrees.
         direct = replace(scenario_io.load_scenario(path))
         with np.errstate(all="raise"):
             assert measure_scenario(direct).bearings.shape == (1, 11)
+
+    # Trailing zero pairs on the observer and the target: every kernel stops at the
+    # last nonzero pair, so no t^k overflows to meet a zero (inf * 0 is nan).
+    ZERO_PAIRS = {"observer": {"coeffs": [[10.0, 0.0], [1.0, 0.5]]},
+                  "targets": [{"coeffs": [[1000.0, 500.0]]}],
+                  "time": {"start": 0.0, "end": 1e80, "points": 11}}
+
+    @pytest.mark.parametrize("command", ["observability", "estimate", "simulate"])
+    def test_trailing_zero_pairs_change_no_output(self, tmp_path, capsys, command):
+        padded = json.loads(json.dumps(self.ZERO_PAIRS))
+        padded["observer"]["coeffs"] += [[0.0, 0.0]] * 2
+        padded["targets"][0]["coeffs"] += [[0.0, 0.0]] * 4
+        outputs = []
+        for name, data in (("written.json", self.ZERO_PAIRS), ("padded.json", padded)):
+            path = tmp_path / name
+            path.write_text(json.dumps(data))
+            outputs.append((run_cli([command, str(path)]), capsys.readouterr()))
+        assert outputs[0][0] == 0 and not outputs[0][1].err
+        assert outputs[1] == outputs[0]
 
     def test_every_command_runs_on_the_huge_window(self, tmp_path, capsys):
         # The estimate scales its residual terms before squaring them, so none overflows.
@@ -898,21 +920,37 @@ def test_loadable_file_runs_in_every_command(tmp_path_factory, data):
 @settings(max_examples=150, deadline=None)
 @given(data=extreme_scenario_files())
 def test_history_kept_at_load_is_a_fresh_measurement(data):
-    """The history validation keeps equals, bit for bit, the one that a pass of
-    ``measure_scenario`` makes for an equal scenario that was never validated."""
+    """The history validation keeps equals, bit for bit, one measured here by the
+    kernels (``relative_states`` with the range floor, ``bearing``, ``doppler``),
+    both for the loaded scenario and for an equal one built in code, which
+    ``measure_scenario`` validates; a file the loader rejects, built in code,
+    gets the loader's error from ``measure_scenario`` and keeps nothing."""
+    direct = scenario_built_in_code(data)
     try:
         scenario = scenario_io.scenario_from_dict(data)
-    except ValidationError:
+    except ValidationError as exc:
         event("rejected")
+        with pytest.raises(ValidationError) as measured:
+            measure_scenario(direct)
+        assert (measured.value.field, str(measured.value)) == (exc.field, str(exc))
+        assert "_history" not in vars(direct)
         return
     event("loaded")
-    kept, fresh = measure_scenario(scenario), measure_scenario(replace(scenario))
+    assert direct == scenario
+    kept, fresh = measure_scenario(scenario), measure_scenario(direct)
     assert kept is not fresh
-    pairs = [(kept.times, fresh.times), (kept.bearings, fresh.bearings)]
-    assert [d is None for d in kept.dopplers] == [d is None for d in fresh.dopplers]
-    pairs += [pair for pair in zip(kept.dopplers, fresh.dopplers) if pair[0] is not None]
-    for a, b in pairs:
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    times = direct.grid()
+    rel = relative_states(direct.target_trajectories(), direct.observer, times,
+                          direct.tolerances.eps_range)
+    dopplers = [None if target.tonal is None
+                else doppler(target.tonal.f0, rel.range_rate[i], direct.c)
+                for i, target in enumerate(direct.targets)]
+    for history in (kept, fresh):
+        pairs = [(history.times, times), (history.bearings, bearing(rel))]
+        assert [d is None for d in history.dopplers] == [d is None for d in dopplers]
+        pairs += [pair for pair in zip(history.dopplers, dopplers) if pair[1] is not None]
+        for a, b in pairs:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # Finite range and range rate, but c is the smallest subnormal, so the

@@ -178,15 +178,17 @@ class TestMeasureScenario:
         assert sep[0] > 0.1 and sep[-1] > 0.1
 
     def test_zero_range_reports_target_and_time(self):
+        # Built in code, so validated on its first measurement, as a file is at load.
         scenario = Scenario(
             observer=PolynomialTrajectory(0.0, ((0.0, 0.0), (10.0, 0.0))),
             targets=(TargetConfig(PolynomialTrajectory(0.0, ((50.0, 0.0),))),),
             t_start=0.0, t_end=10.0, grid_points=11,
         )
-        with pytest.raises(ZeroRange) as excinfo:
+        with pytest.raises(ValidationError) as excinfo:
             measure_scenario(scenario)
-        assert excinfo.value.target_index == 0
-        assert excinfo.value.time == pytest.approx(5.0)
+        assert excinfo.value.field == "targets[0]"
+        assert str(excinfo.value) == "targets[0]: coincides with the observer at t=5.0"
+        assert "_history" not in vars(scenario)
 
 
 def overflowing_scenario():
@@ -206,19 +208,25 @@ TWO_TARGETS = {"observer": {"coeffs": [[0.0, 0.0], [5.0, 1.0], [0.0, 0.4]]},
 
 
 class TestOneHistoryPerScenario:
-    def test_unvalidated_overflow_warns_as_the_kernel_does(self):
-        with warnings.catch_warnings(record=True) as caught:
+    OVERFLOW = "targets[0]: range or range rate overflows a float on the time grid"
+
+    def test_unvalidated_overflow_is_rejected_without_a_warning(self):
+        scenario = overflowing_scenario()
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(ValidationError) as excinfo:
             warnings.simplefilter("always")
-            history = measure_scenario(overflowing_scenario())
-        assert [(w.category, str(w.message)) for w in caught] == (
-            [(RuntimeWarning, "overflow encountered in multiply")] * 3
-            + [(RuntimeWarning, "invalid value encountered in divide")])
-        assert np.isnan(history.dopplers[0][1:]).all()
+            measure_scenario(scenario)
+        assert caught == []
+        assert str(excinfo.value) == self.OVERFLOW
+        assert "_history" not in vars(scenario)
 
     def test_unvalidated_overflow_raises_under_errstate_raise(self):
-        with np.errstate(all="raise"), pytest.raises(
-                FloatingPointError, match="^overflow encountered in multiply$"):
-            measure_scenario(overflowing_scenario())
+        # Validation reads overflow from the arrays, whatever the caller's np.errstate.
+        scenario = overflowing_scenario()
+        with np.errstate(all="raise"), pytest.raises(ValidationError) as excinfo:
+            measure_scenario(scenario)
+        assert str(excinfo.value) == self.OVERFLOW
+        assert "_history" not in vars(scenario)
 
     def test_replaced_scenario_is_measured_on_its_own_grid(self):
         scenario = scenario_from_dict(json.loads(json.dumps(TWO_TARGETS)))

@@ -79,12 +79,9 @@ class TestGramian:
                                    atol=1e-12 * np.abs(direct).max()), (nodes, p)
 
     def test_zero_length_window_gives_zero_matrix(self):
-        scenario = Scenario(
-            observer=PolynomialTrajectory(0.0, ((0.0, 0.0),)),
-            targets=(TargetConfig(PolynomialTrajectory(0.0, ((10.0, 10.0),))),),
-            t_start=0.0, t_end=0.0, grid_points=5,
-        )
-        g = gramian(scenario.observer, measure_scenario(scenario), scenario.effective_orders())
+        # No scenario has this window (validation rejects it), so the history is built by hand.
+        history = history_from_bearings(np.zeros(5), [[np.pi / 4] * 5])
+        g = gramian(PolynomialTrajectory(0.0, ((0.0, 0.0),)), history, (0,))
         assert np.array_equal(g.blocks(), np.zeros((1, 2, 2)))
 
     def test_two_constant_bearing_targets_stay_block_rank_deficient(self):
@@ -120,10 +117,10 @@ class TestGramian:
         assert np.allclose(G_even, G_odd, rtol=1e-12)
 
     def test_node_count_floor(self):
-        scenario = replace(single_static_scenario(), grid_points=1)
-        history = measure_scenario(scenario)
-        with pytest.raises(ValueError):
-            gramian(scenario.observer, history, scenario.effective_orders())
+        # Validation rejects a one-point grid, so the history is built by hand.
+        history = history_from_bearings([0.0], [[0.6435011087932844]])
+        with pytest.raises(ValueError, match="at least 2 grid nodes, got 1"):
+            gramian(PolynomialTrajectory(0.0, ((0.0, 0.0),)), history, (0,))
 
     def test_positive_semidefinite_on_random_scenarios(self):
         rng = np.random.default_rng(23)

@@ -12,8 +12,8 @@ from hypothesis.extra import numpy as hnp
 from obskit.ambiguity import (DopplerAmbiguitySpec, check_combined_condition,
                               check_doppler_sufficiency, generate_doppler_ambiguous,
                               verify_ambiguity)
-from obskit.errors import ParseError, ValidationError, ZeroRange
-from obskit.estimator import estimate_initial_state
+from obskit.errors import ParseError, ValidationError
+from obskit.estimator import cross_validate, estimate_initial_state
 from obskit.measurement import measure_scenario
 from obskit.observability import check_observable
 from obskit import scenario_io
@@ -24,7 +24,7 @@ from obskit.scenario_io import (Scenario, TargetConfig, Tolerances, dumps_json,
 from obskit.selftest import collinear_scenario, random_observer
 from obskit.trajectory import PolynomialTrajectory, SampledTrajectory
 from conftest import forget_kept
-from oracles import read_trajectory_csv_per_line
+from oracles import read_trajectory_csv_per_line, scenario_built_in_code
 
 MINIMAL = {
     "observer": {"coeffs": [[0.0, 0.0], [5.0, 0.0]]},
@@ -234,6 +234,38 @@ class TestValidateScenario:
         with pytest.raises(ValidationError):
             validate_scenario(scenario)
 
+    # Each file breaks one invariant; the observer passes (200, 0) at t = 20.
+    @pytest.mark.parametrize("change, field", [
+        ({"c": 0.0}, "c"),
+        ({"time": {"start": 0.0, "end": 0.0, "points": 41}}, "time.end"),
+        ({"time": {"start": 40.0, "end": 0.0, "points": 41}}, "time.end"),
+        ({"time": {"start": 0.0, "end": 40.0, "points": 1}}, "time.points"),
+        ({"targets": [{"coeffs": [[200.0, 0.0]]}]}, "targets[0]"),
+        ({"c": 5e-324}, "targets[0].tonal_hz"),
+    ], ids=["c-zero", "empty-window", "reversed-window", "one-point", "meets-observer",
+            "doppler-overflow"])
+    def test_scenario_built_in_code_gets_the_loaders_error(self, change, field):
+        base = {"observer": {"coeffs": [[0.0, 0.0], [10.0, 0.0]]},
+                "targets": [{"coeffs": [[300.0, 400.0], [1.0, -2.0]], "tonal_hz": 700.0}],
+                "time": {"start": 0.0, "end": 40.0, "points": 41}}
+        valid = scenario_from_dict(base)
+        result = estimate_initial_state(valid.observer, measure_scenario(valid),
+                                        list(valid.effective_orders()))
+        data = dict(base, **change)
+        with pytest.raises(ValidationError) as loaded:
+            scenario_from_dict(data)
+        assert loaded.value.field == field
+        for analysis in (check_observable, measure_scenario,
+                         lambda scenario: cross_validate(scenario, result)):
+            scenario = scenario_built_in_code(data)
+            with warnings.catch_warnings(record=True) as caught, \
+                    pytest.raises(ValidationError) as direct:
+                warnings.simplefilter("always")
+                analysis(scenario)
+            assert caught == []
+            assert (direct.value.field, str(direct.value)) == (field, str(loaded.value))
+            assert "_history" not in vars(scenario)
+
     def test_measure_zero_range_names_target_and_time(self):
         # Target 1 (order 0) sits on the path of the order-1 observer at t = 5;
         # target 0 has a higher order, so the stacked rows are reordered.
@@ -244,11 +276,10 @@ class TestValidateScenario:
                      TargetConfig(PolynomialTrajectory(0.0, ((50.0, 0.0),)))),
             t_start=0.0, t_end=10.0, grid_points=11,
         )
-        with pytest.raises(ZeroRange) as excinfo:
+        with pytest.raises(ValidationError) as excinfo:
             measure_scenario(scenario)
-        assert excinfo.value.target_index == 1
-        assert excinfo.value.time == 5.0
-        assert str(excinfo.value) == "target 1 coincides with observer at t=5.0"
+        assert str(excinfo.value) == "targets[1]: coincides with the observer at t=5.0"
+        assert "_history" not in vars(scenario)
 
     @pytest.mark.parametrize("tolerances", [Tolerances(), Tolerances(eps_range=0.0)],
                              ids=["default", "eps-range-0"])
