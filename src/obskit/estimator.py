@@ -7,11 +7,13 @@ Writing the target position through its polynomial state turns the stacked
 constraints into a least-squares system A_i x = b_i for the absolute
 initial state of each target, weighted by the square roots of the Gramian's
 quadrature weights. The homogeneous (relative-coordinate) form of the same
-operator, sqrt(W) A_i, is what the observability Gramian factorises; one
-``observability.gramian`` call factorises sqrt(W) [A_i | b_i] and gives the
+operator, sqrt(W) A_i, is what the observability Gramian factorises;
+``observability.gramian`` factorises sqrt(W) [A_i | b_i] and gives the
 verdict, and the estimator solves from those factors, so the two verdicts
-agree by construction. The factors stay stacked by order, so the solve is
-one batched product per order.
+agree by construction. The factors are kept on the history, so after
+``check_observable`` on the same history and observer, at any ``rank_tol``,
+the estimator builds nothing and only solves. The factors stay stacked by
+order, so the solve is one batched product per order.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ def estimate_initial_state(
     """Solve the stacked pseudo-linear system for the absolute initial states.
 
     Each target's block is solved by SVD least squares from its factors in
-    ``observability.gramian``, the targets of one order in one batched
+    ``observability.gramian`` (built there, or read from the ones it keeps
+    on ``history``), the targets of one order in one batched
     product; directions whose singular value falls below sqrt(rank_tol)
     times the block's largest are excluded, which yields the minimum-norm
     solution (in tau columns) on rank deficiency. The residual norm sums
@@ -84,7 +87,8 @@ def estimate_initial_state(
     Raises:
         DegenerateSystem: If any target has fewer measurement rows than
             unknowns (e.g. a zero-length window).
-        ValueError: From ``gramian``, if ``orders`` has not one entry per target.
+        ValueError: From ``gramian``, if ``orders`` has not one entry per target
+            or ``rank_tol`` is not a finite number > 0.
     """
     for i, p in enumerate(orders):
         if len(history.times) < 2 * (p + 1):

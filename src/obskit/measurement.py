@@ -87,6 +87,13 @@ class MeasurementHistory:
         order.flags.writeable = phi.flags.writeable = False
         return order, phi
 
+    @cached_property
+    def kept_factors(self) -> list:
+        """The one entry ``observability.gramian`` keeps for this history, by
+        ``scenario_io._kept``: empty until its first call, then the last
+        Gramian factors built on these arrays, which must not change after."""
+        return []
+
 
 def wrap_angle(theta: float | np.ndarray) -> float | np.ndarray:
     """Wrap an angle (or array) to (-pi, pi]."""

@@ -12,9 +12,13 @@ together with the one verdict that both ``check_observable`` and
 ``estimator.estimate_initial_state`` use: observable when every target's
 block has a ratio of extreme squared singular values above ``rank_tol``.
 The verdict is about each target's own state, and in tau it does not depend
-on the time unit. The geometric criterion (all bearings distinct modulo pi)
-is a separate diagnostic: it does not capture single-target
-unobservability and is therefore never folded into the rank decision.
+on the time unit. The factors do not depend on ``rank_tol``: the last ones
+built are kept on the history they were built from, so ``check_observable``
+and then ``estimate_initial_state`` on one history, at any ``rank_tol``,
+factorise it once, and the verdict is taken from the kept factors.
+The geometric criterion (all bearings distinct modulo pi) is a separate
+diagnostic: it does not capture single-target unobservability and is
+therefore never folded into the rank decision.
 
 The two pair diagnostics, the minimum separation modulo pi and the
 collinearity events, sort the bearings modulo pi at each node. On that
@@ -28,13 +32,15 @@ tie order of a scan over every pair.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .measurement import MeasurementHistory, design_matrix, measure_scenario
-from .scenario_io import Scenario, Tolerances, fields_dict
+from .scenario_io import Scenario, Tolerances, _kept, fields_dict
 from .trajectory import PolynomialTrajectory
 
 OBSERVABLE = "observable"
@@ -142,7 +148,8 @@ class OrderStack:
     For row j, target ``targets[j]`` with n = 2(p + 1) unknowns: (s[j],
     vt[j], c[j], rho[j]) come from the R factor of sqrt(W) [A_i S^-1 | b_i]
     (see ``Gramian``), and ``columns[j]`` are the n entries of that target
-    in the stacked 2s state.
+    in the stacked 2s state. The arrays are read-only: a history keeps its
+    stacks (see ``gramian``), so every caller shares them.
     """
 
     targets: np.ndarray  # (k,) target indices, ascending
@@ -151,6 +158,10 @@ class OrderStack:
     vt: np.ndarray  # (k, n, n)
     c: np.ndarray  # (k, n)
     rho: np.ndarray  # (k,)
+
+    def __post_init__(self):
+        for array in (self.targets, self.columns, self.s, self.vt, self.c, self.rho):
+            array.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,9 +255,34 @@ def gramian(observer: PolynomialTrajectory, history: MeasurementHistory,
     ``estimate_initial_state`` solves by, is observable when every block's
     ratio exceeds ``rank_tol``; in tau it does not depend on the time unit.
 
+    The factors, the scale and the ratios do not depend on ``rank_tol``.
+    The last ones built on a history are kept on it
+    (``MeasurementHistory.kept_factors``, one entry by
+    ``scenario_io._kept``), keyed on the observer's exact bits (reference
+    time and coefficients, so -0.0 and 0.0 differ) and the orders as ints.
+    A call with the same key, at any ``rank_tol``, reads them; any other key
+    builds its own and drops the kept ones. The verdict is taken after the
+    lookup, here and nowhere else.
+
     Raises:
-        ValueError: For fewer than 2 grid nodes, or not one order per target.
+        ValueError: For a ``rank_tol`` that is not a finite number > 0, fewer
+            than 2 grid nodes, or not one order per target.
     """
+    if not 0 < rank_tol < math.inf:
+        raise ValueError(f"rank_tol must be a finite number > 0, got {rank_tol!r}")
+    orders = tuple(map(operator.index, orders))
+    key = (np.array([observer.ref_time, *chain.from_iterable(observer.coeffs)]).tobytes(),
+           orders)
+    scale, stacks, ratios = _kept(history.kept_factors, key, 1,
+                                  lambda: _factorise(observer, history, orders))
+    return Gramian(scale, stacks, ratios, min(ratios) > rank_tol)
+
+
+def _factorise(observer: PolynomialTrajectory, history: MeasurementHistory,
+               orders: tuple[int, ...]) -> tuple[float, tuple[OrderStack, ...],
+                                                 tuple[float, ...]]:
+    """``gramian``'s build: the window scale, one ``OrderStack`` per order and
+    each target's ratio, in target order."""
     times = history.times
     nodes = len(times)
     if nodes < 2:
@@ -284,7 +320,7 @@ def gramian(observer: PolynomialTrajectory, history: MeasurementHistory,
         # the last bit for about one value in a thousand.
         ratios[targets] = np.float_power(np.divide(
             s[:, -1], s[:, 0], out=np.zeros(len(targets)), where=s[:, 0] > 0), 2)
-    return Gramian(scale, tuple(stacks), tuple(ratios.tolist()), bool(ratios.min() > rank_tol))
+    return scale, tuple(stacks), tuple(ratios.tolist())
 
 
 def _close_entries(history: MeasurementHistory,

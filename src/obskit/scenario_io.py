@@ -106,32 +106,56 @@ class Scenario:
         return tuple(t.trajectory for t in self.targets)
 
 
-def _check_fields(scenario: Scenario, points_field: str = "time.points") -> None:
-    """The invariants of the window, grid size, propagation speed and target list.
+def _check_points(points: int, points_field: str) -> None:
+    """The grid size rule; errors name ``points_field``, the field that set it."""
+    if points < 2:
+        raise ValidationError(points_field, f"must be >= 2, got {points}")
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(points_field, f"must be <= {MAX_GRID_POINTS}, got {points}")
 
-    Grid-size errors name ``points_field``, the field that set the grid size.
+
+def _check_numbers(scenario: Scenario) -> None:
+    """The finite and positive rules of the numbers a scenario file holds.
+
+    Checked in the loader's field order (times, observer, each target's
+    coefficients and tonal, ``c``, the tolerances in field order), and named
+    with its field paths, so a scenario built in code gets the error a file
+    with the same numbers gets. ``eps_range`` may be 0; the other tolerances
+    and the tonals must be > 0.
     """
-    if not scenario.t_end > scenario.t_start:
-        raise ValidationError("time.end", f"must exceed time.start ({scenario.t_start})")
-    if not math.isfinite(scenario.t_end - scenario.t_start):
-        raise ValidationError("time.end", "the window length overflows a float")
-    if scenario.grid_points < 2:
-        raise ValidationError(points_field, f"must be >= 2, got {scenario.grid_points}")
-    if scenario.grid_points > MAX_GRID_POINTS:
-        raise ValidationError(
-            points_field, f"must be <= {MAX_GRID_POINTS}, got {scenario.grid_points}")
-    if not scenario.c > 0:
-        raise ValidationError("c", f"must be > 0 m/s, got {scenario.c}")
-    if not scenario.targets:
-        raise ValidationError("targets", "at least one target is required")
+    def check_coeffs(trajectory: PolynomialTrajectory, path: str) -> None:
+        if not all(map(math.isfinite, chain.from_iterable(trajectory.coeffs))):
+            for k, pair in enumerate(trajectory.coeffs):
+                for j, value in enumerate(pair):
+                    _finite(value, f"{path}.coeffs[{k}][{j}]")
+
+    _finite(scenario.t_start, "time.start")
+    _finite(scenario.t_end, "time.end")
+    check_coeffs(scenario.observer, "observer")
+    for i, target in enumerate(scenario.targets):
+        check_coeffs(target.trajectory, f"targets[{i}]")
+        if target.tonal is not None:
+            _finite(target.tonal.f0, f"targets[{i}].tonal_hz", positive=True)
+    _finite(scenario.c, "c")
+    for name in _field_names(Tolerances):
+        value, path = getattr(scenario.tolerances, name), f"tolerances.{name}"
+        if name == "eps_range":  # a floor of 0 counts only exact meetings
+            if _finite(value, path) < 0:
+                raise ValidationError(path, f"must be >= 0 m, got {value!r}")
+        elif value is not None or name != "tol_f":  # tol_f None: derived from context
+            _finite(value, path, positive=True)
 
 
 def validate_scenario(scenario: Scenario, points_field: str = "time.points") -> None:
     """Check every scenario invariant; raise ValidationError with a field path.
 
+    The number rules come first (``_check_numbers``): every time,
+    coefficient, tonal, ``c`` and tolerance finite, the tonals and
+    tolerances > 0 and ``eps_range`` >= 0. Then the window, the grid size
+    (errors about the grid name ``points_field``, the field that set its
+    size) and ``c`` > 0.
     The grid's float times must be strictly increasing: far from zero a
-    short window can round several nodes to one time. Errors about the grid
-    name ``points_field``, the field that set its size. The kinematic check
+    short window can round several nodes to one time. The kinematic check
     evaluates all targets in one ``relative_states`` pass with no range
     floor and names the first target, in index order, whose range falls
     below ``eps_range`` or is 0, whose range or range rate overflows, or whose
@@ -141,7 +165,16 @@ def validate_scenario(scenario: Scenario, points_field: str = "time.points") -> 
     checked as its one ``MeasurementHistory`` (this is its only builder),
     which ``measurement.measure_scenario`` returns.
     """
-    _check_fields(scenario, points_field)
+    _check_numbers(scenario)
+    if not scenario.t_end > scenario.t_start:
+        raise ValidationError("time.end", f"must exceed time.start ({scenario.t_start})")
+    if not math.isfinite(scenario.t_end - scenario.t_start):
+        raise ValidationError("time.end", "the window length overflows a float")
+    _check_points(scenario.grid_points, points_field)
+    if not scenario.c > 0:
+        raise ValidationError("c", f"must be > 0 m/s, got {scenario.c}")
+    if not scenario.targets:
+        raise ValidationError("targets", "at least one target is required")
     times = scenario.grid()
     if not np.all(np.diff(times) > 0):
         raise ValidationError(
@@ -179,17 +212,29 @@ def _require(mapping: dict, key: str, path: str) -> Any:
     return mapping[key]
 
 
-def _finite(value: Any, path: str, positive: bool = False) -> float:
-    """``value`` as a finite float, > 0 if ``positive``; no bools, strings, NaN or Infinity."""
+def _not_a_number(path: str, value: Any, positive: bool) -> ValidationError:
+    rule = "a finite number > 0" if positive else "a finite number"
+    return ValidationError(path, f"must be {rule}, got {value!r}")
+
+
+def _number(value: Any, path: str, positive: bool = False) -> float:
+    """``value`` as a float: the JSON type rule, a number that is not a bool.
+    An int too large for a float is inf. ``positive`` words the error as
+    ``_finite``'s rule for that field."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            number = float(value)
+            return float(value)
         except OverflowError:
-            number = math.inf
-        if math.isfinite(number) and (number > 0 or not positive):
-            return number
-    rule = "a finite number > 0" if positive else "a finite number"
-    raise ValidationError(path, f"must be {rule}, got {value!r}")
+            return math.inf
+    raise _not_a_number(path, value, positive)
+
+
+def _finite(value: Any, path: str, positive: bool = False) -> float:
+    """``value`` as a finite float, > 0 if ``positive``; no bools, strings, NaN or Infinity."""
+    number = _number(value, path, positive)
+    if math.isfinite(number) and (number > 0 or not positive):
+        return number
+    raise _not_a_number(path, number, positive)
 
 
 def _coeffs_from_json(raw: Any, path: str) -> tuple[tuple[float, float], ...]:
@@ -199,27 +244,31 @@ def _coeffs_from_json(raw: Any, path: str) -> tuple[tuple[float, float], ...]:
     for k, pair in enumerate(raw):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValidationError(f"{path}[{k}]", "must be a numeric [x, y] pair")
-        coeffs.append((_finite(pair[0], f"{path}[{k}][0]"),
-                       _finite(pair[1], f"{path}[{k}][1]")))
+        coeffs.append((_number(pair[0], f"{path}[{k}][0]"),
+                       _number(pair[1], f"{path}[{k}][1]")))
     return tuple(coeffs)
 
 
 def scenario_from_dict(data: dict, grid_points: int | None = None) -> Scenario:
     """Build and validate a Scenario from parsed JSON data.
 
-    ``grid_points``, if given, replaces ``time.points`` after the file's own
-    fields are checked, so the kinematic check runs once, on the grid that
-    is analysed. Errors about that grid then name ``--grid-points``, the
-    command-line option that passes the override; errors about the file's
-    own ``time.points`` keep that name.
+    Building applies the JSON rules: the structure, each number a number
+    and not a bool, ``time.points`` an integer, known tolerance keys, and
+    a tonal > 0 (a ``Tonal`` holds no other). Every other rule on the
+    values is ``validate_scenario``'s, which a scenario built in code gets
+    too. ``grid_points``, if given, replaces ``time.points`` after the
+    file's own grid size is checked, so the kinematic check runs once, on
+    the grid that is analysed. Errors about that grid then name
+    ``--grid-points``, the command-line option that passes the override;
+    errors about the file's own ``time.points`` keep that name.
     """
     if not isinstance(data, dict):
         raise ValidationError("", "scenario file must contain a JSON object")
     time_block = _require(data, "time", "")
     if not isinstance(time_block, dict):
         raise ValidationError("time", "must be an object with start/end/points")
-    t_start = _finite(_require(time_block, "start", "time"), "time.start")
-    t_end = _finite(_require(time_block, "end", "time"), "time.end")
+    t_start = _number(_require(time_block, "start", "time"), "time.start")
+    t_end = _number(_require(time_block, "end", "time"), "time.end")
     points = _require(time_block, "points", "time")
     if not isinstance(points, int) or isinstance(points, bool):
         raise ValidationError("time.points", f"must be an integer, got {points!r}")
@@ -243,11 +292,15 @@ def scenario_from_dict(data: dict, grid_points: int | None = None) -> Scenario:
             _require(entry, "coeffs", f"targets[{i}]"), f"targets[{i}].coeffs")
         tonal = None
         if entry.get("tonal_hz") is not None:
-            tonal = Tonal(_finite(entry["tonal_hz"], f"targets[{i}].tonal_hz", positive=True))
+            path = f"targets[{i}].tonal_hz"
+            f0 = _number(entry["tonal_hz"], path, positive=True)
+            if not f0 > 0:  # a Tonal holds no other; validate_scenario checks it is finite
+                raise _not_a_number(path, f0, positive=True)
+            tonal = Tonal(f0)
         targets.append(TargetConfig(
             trajectory=PolynomialTrajectory(ref_time=t_start, coeffs=coeffs), tonal=tonal))
 
-    c = _finite(data.get("c", DEFAULT_SOUND_SPEED), "c")
+    c = _number(data.get("c", DEFAULT_SOUND_SPEED), "c")
     tol_raw = data.get("tolerances", {})
     if not isinstance(tol_raw, dict):
         raise ValidationError("tolerances", "must be an object")
@@ -258,7 +311,7 @@ def scenario_from_dict(data: dict, grid_points: int | None = None) -> Scenario:
     for key, raw in tol_raw.items():
         if key == "tol_f" and raw is None:
             continue  # null: derive tol_f from context
-        given[key] = _finite(raw, f"tolerances.{key}", positive=True)
+        given[key] = _number(raw, f"tolerances.{key}", positive=key != "eps_range")
     tolerances = Tolerances(**given)
 
     scenario = Scenario(
@@ -267,7 +320,7 @@ def scenario_from_dict(data: dict, grid_points: int | None = None) -> Scenario:
     )
     points_field = "time.points"
     if grid_points is not None:
-        _check_fields(scenario)
+        _check_points(points, points_field)
         scenario = replace(scenario, grid_points=grid_points)
         points_field = "--grid-points"
     validate_scenario(scenario, points_field)
@@ -281,7 +334,9 @@ def _kept(entries: list, key: Any, capacity: int, make: Callable[[], Any]) -> An
     first, matched with ``==``. A hit moves its pair last and returns its
     value. A miss drops the least recent pair when the list is full, then
     keeps the result of ``make()`` last; a ``make`` that raises keeps
-    nothing. Every kept result in this module is looked up and dropped here.
+    nothing. Every kept result in obskit is looked up and dropped here: the
+    three lists of this module, and the Gramian factors
+    ``observability.gramian`` keeps on each measurement history.
     """
     for i, entry in enumerate(entries):
         if entry[0] == key:
@@ -313,8 +368,13 @@ def load_scenario(path: str | Path, grid_points: int | None = None) -> Scenario:
     never kept. Every caller in the process
     shares the entry. With M targets and N grid points the history takes at
     most 16·M·N bytes plus 8·N for the times, and the sort of its bearings
-    that the pair diagnostics keep adds 16·M·N; the entry holds them until
-    the next load of another text.
+    that the pair diagnostics keep adds 16·M·N. The history also holds the
+    last Gramian factors built on it (``observability.gramian``), so
+    ``observability`` and ``estimate`` on one file factorise it once: per
+    target of n = 2(p + 1) unknowns, 8(n² + 3n + 2) bytes of arrays, 96 at
+    order 0 and 240 at order 1. With the key, the ratios and the array
+    headers, 16 targets of each order take ≈12 KB in all. The entry holds
+    all of it until the next load of another text.
 
     Raises:
         ParseError: Unreadable file, text that is not UTF-8, or malformed or

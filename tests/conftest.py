@@ -22,6 +22,12 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "obskit"))
 
 
+def at_least(examples: int) -> int:
+    """A test's pinned example count as a floor: the loaded profile's count
+    when that is larger, so the deep profile runs its 2000 examples there too."""
+    return max(examples, settings.default.max_examples)
+
+
 def forget_kept():
     """Empty the lists of results ``scenario_io`` keeps, so the next command
     loads and parses its files and formats its arrays afresh."""

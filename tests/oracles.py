@@ -21,7 +21,7 @@ import numpy as np
 
 from obskit.errors import ParseError
 from obskit.measurement import DEFAULT_SOUND_SPEED, Tonal
-from obskit.scenario_io import Scenario, TargetConfig
+from obskit.scenario_io import Scenario, TargetConfig, Tolerances
 from obskit.trajectory import PolynomialTrajectory, SampledTrajectory
 
 
@@ -71,10 +71,9 @@ def polynomial_eval(traj, t, derivative_order: int = 0) -> np.ndarray:
 
 
 def scenario_built_in_code(data: dict) -> Scenario:
-    """The ``Scenario`` of a scenario file's parsed JSON without ``tolerances``,
-    built from its fields in code and never validated: for data that
-    ``scenario_io.scenario_from_dict`` accepts, an equal object; for any other
-    data, the same fields unchecked."""
+    """The ``Scenario`` of a scenario file's parsed JSON, built from its fields
+    in code and never validated: for data that ``scenario_io.scenario_from_dict``
+    accepts, an equal object; for any other data, the same fields unchecked."""
     time = data["time"]
 
     def trajectory(block):
@@ -86,7 +85,8 @@ def scenario_built_in_code(data: dict) -> Scenario:
                                    else Tonal(target["tonal_hz"]))
                       for target in data["targets"]),
         t_start=time["start"], t_end=time["end"], grid_points=time["points"],
-        c=data.get("c", DEFAULT_SOUND_SPEED))
+        c=data.get("c", DEFAULT_SOUND_SPEED),
+        tolerances=Tolerances(**data.get("tolerances", {})))
 
 
 def read_trajectory_csv_per_line(path) -> SampledTrajectory:

@@ -15,16 +15,16 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import obskit
-from obskit import cli, scenario_io, selftest, trajectory
+from obskit import cli, observability, scenario_io, selftest, trajectory
 from obskit.ambiguity import (DopplerAmbiguitySpec, _profile_values, generate_bearing_ambiguous,
                               generate_doppler_ambiguous)
 from obskit.cli import run_cli
 from obskit.errors import ObskitError, ValidationError
 from obskit.measurement import Tonal, bearing, doppler, measure_scenario
 from obskit.scenario_io import TargetConfig, dumps_json, save_scenario, write_trajectory_csv
-from obskit.trajectory import relative_states
+from obskit.trajectory import PolynomialTrajectory, relative_states
 
-from conftest import forget_kept
+from conftest import at_least, forget_kept
 from oracles import scenario_built_in_code
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -731,6 +731,31 @@ def test_benchmark_trace_wrapper_stays_flat(monkeypatch):
         assert span[4] is None or tracer.spans[span[4]][0] != spans.PARSE
 
 
+def test_one_factor_build_per_kept_file(monkeypatch, capsys):
+    """observability and estimate, each also at --rank-tol 1e-3, on one kept
+    file build the Gramian factors once; another observer (compared by its
+    bits, so -0.0 is another) or other orders on the same history rebuild."""
+    builds = []
+    factorise = observability._factorise
+    monkeypatch.setattr(observability, "_factorise",
+                        lambda *args: builds.append(args[2]) or factorise(*args))
+    runs = [["observability"], ["estimate"], ["estimate", "--rank-tol", "1e-3"],
+            ["observability", "--rank-tol", "1e-3"]]
+    assert [run_cli([command, str(OBSERVABLE), *options])
+            for command, *options in runs] == [0] * 4
+    capsys.readouterr()
+    assert builds == [(0, 0)]
+    scenario = scenario_io.load_scenario(OBSERVABLE)  # the kept one, with its history
+    history, observer = measure_scenario(scenario), scenario.observer
+    assert observer.coeffs[0] == (0.0, 0.0)
+    negated = PolynomialTrajectory(observer.ref_time, ((-0.0, 0.0), *observer.coeffs[1:]))
+    for obs, orders, built in [(observer, [0, 0], 1), (negated, (0, 0), 2),
+                               (observer, (0, 0), 3), (observer, (1, 1), 4),
+                               (observer, (1, 1), 4)]:
+        observability.gramian(obs, history, orders, 1e-3)
+        assert len(builds) == built
+
+
 def test_numerical_overflow_exits_two(tmp_path, capsys):
     """A loadable candidate whose squared range overflows is an analysis error."""
     csv = tmp_path / "candidate.csv"
@@ -895,7 +920,7 @@ def extreme_scenario_files(draw):
     return data
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=at_least(150), deadline=None)
 @given(data=extreme_scenario_files())
 def test_loadable_file_runs_in_every_command(tmp_path_factory, data):
     """A file that loads runs in ``observability``; in the other commands it
@@ -917,7 +942,7 @@ def test_loadable_file_runs_in_every_command(tmp_path_factory, data):
     assert outcomes[1][0] == 0, outcomes[1][1]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=at_least(150), deadline=None)
 @given(data=extreme_scenario_files())
 def test_history_kept_at_load_is_a_fresh_measurement(data):
     """The history validation keeps equals, bit for bit, one measured here by the

@@ -1,9 +1,10 @@
 import json
+import operator
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import event, given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from obskit.errors import DegenerateSystem
@@ -12,13 +13,14 @@ from obskit.estimator import (DEGENERATE, UNIQUE, cross_validate,
 from obskit.measurement import (MeasurementHistory, angular_difference, design_matrix,
                                 measure_scenario, wrap_angle)
 from obskit.observability import OBSERVABLE, _simpson_weights, check_observable, gramian
-from obskit.scenario_io import Scenario, TargetConfig
+from obskit.scenario_io import Scenario, TargetConfig, dumps_json
 from obskit.selftest import (collinear_scenario, random_rank_scenario,
                              random_rank_scenario_conditioned, random_scenario)
 from obskit.trajectory import (PolynomialTrajectory, state_from_trajectory,
                                trajectory_from_state)
 
 import oracles
+from conftest import at_least, forget_kept
 
 
 def maneuvering_static_target_scenario():
@@ -239,3 +241,40 @@ def test_order_stacks_match_per_target_loops(scenario, rank_tol):
     expected = oracles.null_space_per_target(g)
     assert (g.null_space is None) == (expected is None)
     assert expected is None or np.array_equal(g.null_space, expected)
+
+
+@settings(max_examples=at_least(100), deadline=None)
+@given(scenario=rank_scenarios(), exponent=st.floats(-14.0, -2.0))
+def test_kept_factors_give_the_bytes_of_a_fresh_build(scenario, exponent):
+    """The report and the estimate at a rank_tol in [1e-14, 1e-2], from the
+    factors ``check_observable`` kept at the scenario's own rank_tol, equal
+    byte for byte those of a fresh Scenario with nothing kept."""
+    rank_tol = 10.0 ** exponent
+    orders = list(scenario.effective_orders())
+
+    def outputs(s):
+        report = check_observable(s, rank_tol)
+        result = estimate_initial_state(s.observer, measure_scenario(s), orders, rank_tol)
+        return dumps_json(report.to_dict()) + dumps_json(result.to_dict())
+
+    history = measure_scenario(scenario)
+    check_observable(scenario)
+    (entry,) = history.kept_factors
+    kept = outputs(scenario)
+    assert history.kept_factors[0] is entry  # read, not rebuilt
+    forget_kept()
+    fresh = replace(scenario)
+    assert "_history" not in vars(fresh)
+    assert outputs(fresh) == kept
+
+
+def test_kept_factor_arrays_are_read_only():
+    scenario = random_scenario(np.random.default_rng(5), m_targets=3, target_order_max=2)
+    history = measure_scenario(scenario)
+    g = gramian(scenario.observer, history, scenario.effective_orders())
+    [(_, (_, kept, _))] = history.kept_factors
+    assert len(kept) == len(g.stacks) and all(map(operator.is_, g.stacks, kept))
+    for stack in g.stacks:
+        for array in (stack.targets, stack.columns, stack.s, stack.vt, stack.c, stack.rho):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0

@@ -18,6 +18,7 @@ from obskit.selftest import (collinear_scenario, random_rank_scenario_conditione
                              random_scenario, stacked_rank_observable)
 from obskit.trajectory import PolynomialTrajectory
 
+from conftest import at_least
 from oracles import pseudo_row, transition_matrix
 
 
@@ -349,7 +350,7 @@ def planted_histories(draw):
     return history_from_bearings(np.linspace(0.0, 5.0, n), bearings)
 
 
-@settings(max_examples=400)
+@settings(max_examples=at_least(400))
 @given(history=planted_histories(), tol=st.sampled_from([1e-3, 0.3]))
 def test_pair_scans_match_per_pair_loops(history, tol):
     assert bearing_separation_mod_pi(history) == reference_min_separation(history)

@@ -23,7 +23,7 @@ from obskit.scenario_io import (Scenario, TargetConfig, Tolerances, dumps_json,
                                 validate_scenario, write_trajectory_csv)
 from obskit.selftest import collinear_scenario, random_observer
 from obskit.trajectory import PolynomialTrajectory, SampledTrajectory
-from conftest import forget_kept
+from conftest import at_least, forget_kept
 from oracles import read_trajectory_csv_per_line, scenario_built_in_code
 
 MINIMAL = {
@@ -242,8 +242,11 @@ class TestValidateScenario:
         ({"time": {"start": 0.0, "end": 40.0, "points": 1}}, "time.points"),
         ({"targets": [{"coeffs": [[200.0, 0.0]]}]}, "targets[0]"),
         ({"c": 5e-324}, "targets[0].tonal_hz"),
+        ({"tolerances": {"rank_tol": -1}}, "tolerances.rank_tol"),
+        ({"observer": {"coeffs": [[math.nan, 0.0], [10.0, 0.0]]}}, "observer.coeffs[0][0]"),
+        ({"time": {"start": math.nan, "end": 40.0, "points": 41}}, "time.start"),
     ], ids=["c-zero", "empty-window", "reversed-window", "one-point", "meets-observer",
-            "doppler-overflow"])
+            "doppler-overflow", "negative-rank-tol", "nan-observer-coefficient", "nan-start"])
     def test_scenario_built_in_code_gets_the_loaders_error(self, change, field):
         base = {"observer": {"coeffs": [[0.0, 0.0], [10.0, 0.0]]},
                 "targets": [{"coeffs": [[300.0, 400.0], [1.0, -2.0]], "tonal_hz": 700.0}],
@@ -285,7 +288,7 @@ class TestValidateScenario:
                              ids=["default", "eps-range-0"])
     def test_meeting_named_whatever_eps_range(self, tolerances):
         # The target passes through the observer at t = 5, where the range
-        # rate is 0/0; a file cannot set eps_range to 0, a direct build can.
+        # rate is 0/0; an eps_range of 0 counts only a range of exactly 0.
         scenario = Scenario(
             observer=PolynomialTrajectory(0.0, ((0.0, 0.0),)),
             targets=(TargetConfig(PolynomialTrajectory(0.0, ((-50.0, 0.0), (10.0, 0.0)))),),
@@ -478,7 +481,7 @@ def trajectory_csv_texts(draw):
     return draw(LINE_BREAKS).join(["t,x_m,y_m", *lines]) + draw(st.sampled_from(["", "\n"]))
 
 
-@settings(max_examples=300)
+@settings(max_examples=at_least(300))
 @given(text=trajectory_csv_texts())
 def test_reader_agrees_with_the_per_line_loop(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "candidate.csv"
@@ -501,7 +504,7 @@ def read_outcome(path):
     return traj.times, traj.positions
 
 
-@settings(max_examples=300)
+@settings(max_examples=at_least(300))
 @given(times=st.lists(CSV_VALUES.filter(lambda v: not math.isnan(v)), min_size=2, max_size=3,
                       unique=True).map(sorted),
        data=st.data())
@@ -563,7 +566,7 @@ ARRAYS = hnp.arrays(
 LEAVES = SCALARS | FLOAT_LISTS | FLOAT_ROWS | ARRAYS
 
 
-@settings(max_examples=400)
+@settings(max_examples=at_least(400))
 @given(st.recursive(
     LEAVES,
     lambda children: (st.lists(children, max_size=4)
@@ -627,7 +630,7 @@ class TestSharedTrajectoryFormatting:
     TIMES = st.floats(-1e300, 1e300) | st.sampled_from(
         [-math.inf, math.inf, 5e-324, 2.2e-308, 1e-5, 1e16])
 
-    @settings(max_examples=200)
+    @settings(max_examples=at_least(200))
     @given(times=st.lists(TIMES, min_size=2, max_size=8, unique=True).map(sorted),
            data=st.data())
     def test_random_values(self, times, data):
@@ -645,7 +648,7 @@ FLOAT_BITS = st.integers(0, 2 ** 64 - 1) | st.sampled_from(SPECIAL_BITS) | st.sa
 class TestFormattedMemo:
     """``_format_array`` keeps the texts of the last three arrays it formatted."""
 
-    @settings(max_examples=200)
+    @settings(max_examples=at_least(200))
     @given(bits=st.lists(FLOAT_BITS, min_size=1, max_size=12), width=st.integers(0, 3),
            data=st.data())
     def test_texts_are_each_values_repr(self, bits, width, data):
@@ -683,7 +686,7 @@ class MakeFailed(Exception):
     pass
 
 
-@settings(max_examples=300)
+@settings(max_examples=at_least(300))
 @given(capacity=st.integers(1, 3),
        calls=st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=40))
 def test_kept_follows_the_reference_list(capacity, calls):
